@@ -515,12 +515,12 @@ void print_live_summary(ShardedDataplane& dp, const ShardedResult& res,
         (sh + sm) > 0
             ? static_cast<double>(sh) / static_cast<double>(sh + sm)
             : 0;
-    std::printf("  %-8zu %10llu %10zu %10llu %7.1f%%\n", s,
+    const ShardCounts counts =
+        s < res.per_shard.size() ? res.per_shard[s] : ShardCounts{};
+    std::printf("  %-8zu %10llu %10llu %10llu %7.1f%%\n", s,
                 static_cast<unsigned long long>(dp.shard_received(s)),
-                s < res.per_shard.size() ? res.per_shard[s].outputs.size() : 0,
-                static_cast<unsigned long long>(
-                    s < res.per_shard.size() ? res.per_shard[s].dropped : 0),
-                100.0 * rate);
+                static_cast<unsigned long long>(counts.delivered),
+                static_cast<unsigned long long>(counts.dropped), 100.0 * rate);
   }
 }
 
@@ -1633,8 +1633,9 @@ int run_latency_plane(const ServiceGraph& graph,
 // dataplane and print the flow observatory's live view — cross-shard
 // merged top-K heavy hitters, flow churn, per-reason drop attribution and
 // per-graph accounting. --pool=N switches the director to NIC-like tail
-// drops with an N-slot ingest pool, so the drop-reason table fills with
-// ring_full/pool_exhausted attribution under overload.
+// drops with an N-deep RX ring (and a shard pool of N slots or its
+// minimum), so the drop-reason table fills with ring_full/pool_exhausted
+// attribution under overload.
 int flows_command(int argc, char** argv) {
   u64 shards = 2;
   u64 packets = 50'000;
@@ -1690,8 +1691,9 @@ int flows_command(int argc, char** argv) {
   opts.shards = static_cast<std::size_t>(shards);
   if (pool != 0) {
     // Overload demo: a tiny RX path with tail drops instead of blocking.
-    // The constructor keeps pool >= ring + burst, so the ring is the
-    // binding constraint and the drop table fills with ring_full.
+    // The constructor raises the pool to cover the ring, burst, magazines
+    // and graph, so the ring is the binding constraint and the drop table
+    // fills with ring_full.
     opts.ingest_pool_size = static_cast<std::size_t>(pool);
     opts.ingest_ring_depth = static_cast<std::size_t>(pool);
     opts.drop_on_ingest_backpressure = true;

@@ -16,7 +16,43 @@
 namespace nfp {
 
 namespace {
+
 inline u64 sat_sub(u64 a, u64 b) noexcept { return a >= b ? a - b : 0; }
+
+// The options a pipeline over `graph` actually runs with: clamped knobs
+// and the concrete execution mode (what options() reports).
+LivePipelineOptions resolve_options(const ServiceGraph& graph,
+                                    LivePipelineOptions opts) {
+  if (opts.per_packet_compat) {
+    opts.burst_size = 1;
+    opts.magazine_size = 0;
+  }
+  opts.ring_depth = std::max<std::size_t>(4, opts.ring_depth);
+  opts.burst_size = std::clamp<std::size_t>(opts.burst_size, 1, opts.ring_depth);
+  // Bound the in-flight window well below the ring depth so a full ring
+  // can never wedge the merger thread against an NF thread (the merger
+  // re-enters segments and would otherwise spin on a ring an NF cannot
+  // drain because its own output ring is full). Each in-flight packet puts
+  // at most one entry on any single ring, so window <= depth/2 keeps every
+  // ring drainable.
+  if (opts.in_flight_window == 0) opts.in_flight_window = opts.ring_depth / 4;
+  opts.in_flight_window =
+      std::clamp<std::size_t>(opts.in_flight_window, 1, opts.ring_depth / 2);
+
+  // Resolve the execution mode. compat exists to reproduce the old
+  // pipelined hot path, so it pins the mode; auto fuses sequential graphs
+  // (rings would only add hand-off cost between single-consumer hops) and
+  // keeps parallel graphs pipelined, where cross-thread execution is the
+  // paper's actual mechanism.
+  if (opts.per_packet_compat) {
+    opts.exec_mode = ExecMode::kPipelined;
+  } else if (opts.exec_mode == ExecMode::kAuto) {
+    opts.exec_mode =
+        graph.is_sequential() ? ExecMode::kRtc : ExecMode::kPipelined;
+  }
+  return opts;
+}
+
 }  // namespace
 
 const char* exec_mode_name(ExecMode mode) noexcept {
@@ -38,40 +74,14 @@ std::optional<ExecMode> parse_exec_mode(std::string_view name) noexcept {
 LivePipeline::LivePipeline(
     ServiceGraph graph,
     std::function<std::unique_ptr<NetworkFunction>(const StageNf&)> factory,
-    LivePipelineOptions options)
+    LivePipelineOptions options, PacketPool* pool)
     : graph_(std::move(graph)),
-      opts_(options),
-      pool_(std::max<std::size_t>(1, options.pool_size)) {
-  if (opts_.per_packet_compat) {
-    opts_.burst_size = 1;
-    opts_.magazine_size = 0;
-  }
-  opts_.ring_depth = std::max<std::size_t>(4, opts_.ring_depth);
-  opts_.burst_size =
-      std::clamp<std::size_t>(opts_.burst_size, 1, opts_.ring_depth);
-  // Bound the in-flight window well below the ring depth so a full ring
-  // can never wedge the merger thread against an NF thread (the merger
-  // re-enters segments and would otherwise spin on a ring an NF cannot
-  // drain because its own output ring is full). Each in-flight packet puts
-  // at most one entry on any single ring, so window <= depth/2 keeps every
-  // ring drainable.
-  if (opts_.in_flight_window == 0) {
-    opts_.in_flight_window = opts_.ring_depth / 4;
-  }
-  opts_.in_flight_window = std::clamp<std::size_t>(opts_.in_flight_window, 1,
-                                                   opts_.ring_depth / 2);
-
-  // Resolve the execution mode. compat exists to reproduce the old
-  // pipelined hot path, so it pins the mode; auto fuses sequential graphs
-  // (rings would only add hand-off cost between single-consumer hops) and
-  // keeps parallel graphs pipelined, where cross-thread execution is the
-  // paper's actual mechanism.
-  if (opts_.per_packet_compat) {
-    opts_.exec_mode = ExecMode::kPipelined;
-  } else if (opts_.exec_mode == ExecMode::kAuto) {
-    opts_.exec_mode = graph_.is_sequential() ? ExecMode::kRtc
-                                             : ExecMode::kPipelined;
-  }
+      opts_(resolve_options(graph_, options)),
+      own_pool_(pool != nullptr
+                    ? nullptr
+                    : std::make_unique<PacketPool>(
+                          std::max<std::size_t>(1, options.pool_size))),
+      pool_(pool != nullptr ? *pool : *own_pool_) {
   if (opts_.exec_mode == ExecMode::kRtc) {
     rtc_ = std::make_unique<RtcExecutor>(graph_, factory, opts_, pool_,
                                          &mag_refill_total_,
@@ -120,6 +130,24 @@ LivePipeline::LivePipeline(
     }
     merger_lat_block_ = std::make_unique<telemetry::StageLatencyBlock>();
   }
+}
+
+std::size_t LivePipeline::pool_demand(const ServiceGraph& graph,
+                                      const LivePipelineOptions& options) {
+  const LivePipelineOptions opts = resolve_options(graph, options);
+  std::size_t nfs = 0;
+  std::size_t versions = 1;  // slots one packet holds: original + copies
+  for (const Segment& seg : graph.segments()) {
+    nfs += seg.nfs.size();
+    versions = std::max<std::size_t>(versions, seg.num_versions);
+  }
+  // rtc: one magazine, one packet at a time on the caller's thread.
+  // pipelined: a magazine per thread (feeder, every NF, merger) and up to
+  // in_flight_window packets inside the graph.
+  const bool rtc = opts.exec_mode == ExecMode::kRtc;
+  const std::size_t magazines = rtc ? 1 : nfs + 2;
+  const std::size_t packets = rtc ? 1 : opts.in_flight_window;
+  return magazines * opts.magazine_size + packets * versions;
 }
 
 void LivePipeline::finalize_latency(const Packet& pkt,
@@ -611,30 +639,33 @@ u64 LivePipeline::delivered_so_far() {
 }
 
 telemetry::ShardScalabilitySnapshot LivePipeline::scalability_snapshot() {
-  if (rtc_ != nullptr) return rtc_->scalability_snapshot();
   telemetry::ShardScalabilitySnapshot snap;
-  auto fold = [&snap](const telemetry::CycleCounters* cycles) {
-    if (cycles == nullptr) return;
-    for (std::size_t b = 0; b < telemetry::kCycleBucketCount; ++b) {
-      snap.ns[b] += cycles->get(static_cast<telemetry::CycleBucket>(b));
+  if (rtc_ != nullptr) {
+    snap = rtc_->scalability_snapshot();
+  } else {
+    auto fold = [&snap](const telemetry::CycleCounters* cycles) {
+      if (cycles == nullptr) return;
+      for (std::size_t b = 0; b < telemetry::kCycleBucketCount; ++b) {
+        snap.ns[b] += cycles->get(static_cast<telemetry::CycleBucket>(b));
+      }
+    };
+    for (const auto& seg : segments_) {
+      for (const LiveNf& nf : seg) {
+        fold(nf.cycles.get());
+        snap.ring_full_events += nf.in->full_events() + nf.out->full_events();
+        ++snap.threads;
+      }
     }
-  };
-  for (const auto& seg : segments_) {
-    for (const LiveNf& nf : seg) {
-      fold(nf.cycles.get());
-      snap.ring_full_events += nf.in->full_events() + nf.out->full_events();
-      ++snap.threads;
-    }
+    fold(merger_cycles_.get());
+    ++snap.threads;  // merger
+    // The feeder is the caller's thread, not a pipeline thread: its waits
+    // count, its useful time belongs to the caller.
+    fold(feeder_cycles_.get());
+    snap.backoff_spins = feeder_spin_total_.load(std::memory_order_relaxed);
+    snap.delivered = delivered_so_far();
+    snap.dropped = dropped_so_far();
   }
-  fold(merger_cycles_.get());
-  ++snap.threads;  // merger
-  // The feeder is the caller's thread, not a pipeline thread: its waits
-  // count, its useful time belongs to the caller.
-  fold(feeder_cycles_.get());
-  snap.pool_cas_retries = pool_.cas_retry_total();
-  snap.backoff_spins = feeder_spin_total_.load(std::memory_order_relaxed);
-  snap.delivered = delivered_so_far();
-  snap.dropped = dropped_so_far();
+  if (own_pool_ != nullptr) snap.pool_cas_retries = pool_.cas_retry_total();
   return snap;
 }
 
@@ -700,9 +731,6 @@ void LivePipeline::register_health(telemetry::HealthSampler& sampler,
           prefix + name, [this, w] { return worker_heartbeat_ns(w); });
     }
   }
-  sampler.add_probe("pool_in_use", plane_labels, [this] {
-    return static_cast<double>(pool_in_use());
-  });
   // Allocator pressure: magazine↔pool batch traffic and refcount misuse.
   sampler.add_probe("pool_magazine_refill_total", plane_labels, [this] {
     return static_cast<double>(magazine_refills());
@@ -710,15 +738,22 @@ void LivePipeline::register_health(telemetry::HealthSampler& sampler,
   sampler.add_probe("pool_magazine_flush_total", plane_labels, [this] {
     return static_cast<double>(magazine_flushes());
   });
-  sampler.add_probe("pool_refcnt_underflow_total", plane_labels,
-                    [this] {
-                      return static_cast<double>(refcnt_underflows());
-                    });
+  if (own_pool_ != nullptr) {
+    sampler.add_probe("pool_in_use", plane_labels, [this] {
+      return static_cast<double>(pool_in_use());
+    });
+    sampler.add_probe("pool_refcnt_underflow_total", plane_labels,
+                      [this] {
+                        return static_cast<double>(refcnt_underflows());
+                      });
+  }
   if (watchdog != nullptr) {
-    watchdog->watch_pool(
-        prefix + "live-pool",
-        [this] { return static_cast<u64>(pool_in_use()); },
-        pool_capacity());
+    if (own_pool_ != nullptr) {
+      watchdog->watch_pool(
+          prefix + "live-pool",
+          [this] { return static_cast<u64>(pool_in_use()); },
+          pool_capacity());
+    }
     watchdog->watch_drop_counter(prefix + "live-pipeline",
                                  [this] { return dropped_so_far(); });
   }
@@ -746,46 +781,45 @@ Status LivePipeline::start() {
   return Status::ok();
 }
 
+void LivePipeline::wait_for_window() {
+  // Window full means downstream (rings/merger) has not retired packets
+  // fast enough — ingest backpressure, timed only when actually contended.
+  if (in_flight_.load(std::memory_order_acquire) < opts_.in_flight_window) {
+    return;
+  }
+  telemetry::CycleAccountant facct(feeder_cycles_.get(), 0);
+  const u64 t0 = facct.enabled() ? telemetry::mono_now_ns() : 0;
+  Backoff window_backoff;
+  do {
+    window_backoff.pause();
+  } while (in_flight_.load(std::memory_order_acquire) >=
+           opts_.in_flight_window);
+  if (t0 != 0) {
+    facct.carve(telemetry::CycleBucket::kRingWait,
+                telemetry::mono_now_ns() - t0);
+    feeder_spin_total_.fetch_add(window_backoff.total_pauses(),
+                                 std::memory_order_relaxed);
+  }
+}
+
 bool LivePipeline::feed(std::span<const u8> frame) {
   if (rtc_ != nullptr) return rtc_->feed(frame);
+  if (state_.load(std::memory_order_acquire) != RunState::kRunning) {
+    return false;
+  }
   // Standalone sampling: no flow hash at this layer, so sample by pid.
   u64 origin = 0;
   if (opts_.latency_sample_every != 0 &&
       next_pid_ % opts_.latency_sample_every == 0) {
     origin = telemetry::mono_now_ns();
   }
-  return feed_stamped(frame, origin);
-}
-
-bool LivePipeline::feed_stamped(std::span<const u8> frame, u64 origin_ns,
-                                const FlowRef* flow) {
-  if (rtc_ != nullptr) return rtc_->feed_stamped(frame, origin_ns, flow);
-  if (state_.load(std::memory_order_acquire) != RunState::kRunning) {
-    return false;
-  }
-  // No recording blocks (latency_sample_every == 0) means nowhere to land
-  // the sample — drop the stamp rather than half-instrument the packet.
-  if (merger_lat_block_ == nullptr) origin_ns = 0;
+  // Window first: a feeder blocked on the window must not also hold a slot
+  // the in-flight packets' fanout copies may need.
+  wait_for_window();
   PacketMagazine& mag = *feeder_mag_;
-  telemetry::CycleAccountant facct(feeder_cycles_.get(), 0);
-  // Window full means downstream (rings/merger) has not retired packets
-  // fast enough — ingest backpressure, timed only when actually contended.
-  if (in_flight_.load(std::memory_order_acquire) >= opts_.in_flight_window) {
-    const u64 t0 = facct.enabled() ? telemetry::mono_now_ns() : 0;
-    Backoff window_backoff;
-    do {
-      window_backoff.pause();
-    } while (in_flight_.load(std::memory_order_acquire) >=
-             opts_.in_flight_window);
-    if (t0 != 0) {
-      facct.carve(telemetry::CycleBucket::kRingWait,
-                  telemetry::mono_now_ns() - t0);
-      feeder_spin_total_.fetch_add(window_backoff.total_pauses(),
-                                   std::memory_order_relaxed);
-    }
-  }
   Packet* pkt = mag.alloc(frame.size());
   if (pkt == nullptr) {
+    telemetry::CycleAccountant facct(feeder_cycles_.get(), 0);
     const u64 t0 = facct.enabled() ? telemetry::mono_now_ns() : 0;
     Backoff alloc_backoff;
     do {
@@ -799,24 +833,42 @@ bool LivePipeline::feed_stamped(std::span<const u8> frame, u64 origin_ns,
     }
   }
   std::memcpy(pkt->data(), frame.data(), frame.size());
+  pkt->lat().origin_ns = origin;
+  return enter_graph(pkt);
+}
+
+bool LivePipeline::feed_packet(Packet* pkt) {
+  if (rtc_ != nullptr) return rtc_->feed_packet(pkt);
+  if (state_.load(std::memory_order_acquire) != RunState::kRunning) {
+    pool_.release(pkt);
+    return false;
+  }
+  wait_for_window();
+  return enter_graph(pkt);
+}
+
+bool LivePipeline::enter_graph(Packet* pkt) {
   pkt->meta().set_pid(next_pid_++ & Metadata::kMaxPid);
-  if (flow != nullptr) pkt->flow() = *flow;
-  if (origin_ns != 0) {
+  LatencyStamps& lat = pkt->lat();
+  // No recording blocks (latency_sample_every == 0) means nowhere to land
+  // the sample — drop the stamp rather than half-instrument the packet.
+  if (merger_lat_block_ == nullptr) lat.origin_ns = 0;
+  if (lat.origin_ns != 0) {
     // Ingest closes here: origin -> ready-to-enqueue covers the caller's
     // spans (director pool/ring/classify) plus this feed's window + alloc
     // backpressure. The mark opens the first queue span.
     const u64 now = telemetry::mono_now_ns();
-    LatencyStamps& lat = pkt->lat();
-    lat.origin_ns = origin_ns;
-    lat.ingest_ns = sat_sub(now, origin_ns);
+    lat.ingest_ns = sat_sub(now, lat.origin_ns);
     lat.mark_ns = now;
   }
+  PacketMagazine& mag = *feeder_mag_;
+  telemetry::CycleAccountant facct(feeder_cycles_.get(), 0);
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (!enter_segment(0, pkt, mag, &facct)) {
-    // Standalone feeds have no caller-parsed FlowRef; parse it here — the
-    // drop path is cold — so the exemplar still names the flow.
-    if (!pkt->flow().valid && flow == nullptr) {
-      if (const auto parsed = parse_five_tuple(frame)) {
+    // Standalone feeds carry no parsed FlowRef; parse it here — the drop
+    // path is cold — so the exemplar still names the flow.
+    if (!pkt->flow().valid) {
+      if (const auto parsed = parse_five_tuple(pkt->bytes())) {
         pkt->flow().tuple = *parsed;
         pkt->flow().hash = hash_five_tuple(*parsed);
         pkt->flow().valid = true;

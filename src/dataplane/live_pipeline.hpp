@@ -88,7 +88,9 @@ struct LiveResult {
 // Hot-path knobs, constructor-configurable so benches can sweep them.
 struct LivePipelineOptions {
   std::size_t ring_depth = 256;     // per-NF RX/TX ring capacity (pow2)
-  std::size_t pool_size = 4096;     // shared packet-pool slots
+  // Slots of the pipeline's own packet pool. Unused when the pipeline draws
+  // from a caller's pool (every pipeline inside a ShardedDataplane).
+  std::size_t pool_size = 4096;
   std::size_t in_flight_window = 0; // 0 => ring_depth / 4
   std::size_t magazine_size = 64;   // per-thread free-slot cache; 0 = none
   std::size_t burst_size = 32;      // ring burst granularity
@@ -107,8 +109,8 @@ struct LivePipelineOptions {
   // measures it). Off disables all bucket/wait attribution.
   bool cycle_accounting = true;
   // Latency-observatory sampling: stamp and stage-time 1 in N packets
-  // (0 = off, the default). feed() samples pid % N; feed_stamped() lets the
-  // sharded director pass its own flow-hash decision + origin stamp in.
+  // (0 = off, the default). feed() samples pid % N; feed_packet() takes the
+  // sharded director's own flow-hash decision + origin stamp off the packet.
   // Unsampled packets pay one zero-check branch per hop; sampled ones two
   // clock reads per NF hop (bench's lat32-acct/noacct pair gates the cost).
   std::size_t latency_sample_every = 0;
@@ -120,15 +122,26 @@ struct LivePipelineOptions {
 
 class LivePipeline {
  public:
-  // `factory` defaults to make_builtin_nf (instance id as seed).
+  // `factory` defaults to make_builtin_nf (instance id as seed). With a
+  // non-null `pool` every packet is drawn from it (the sharded dataplane's
+  // per-shard pool, which must outlive the pipeline) and the pipeline
+  // builds no pool of its own; otherwise it owns options.pool_size slots.
   explicit LivePipeline(ServiceGraph graph,
                         std::function<std::unique_ptr<NetworkFunction>(
                             const StageNf&)> factory = {},
-                        LivePipelineOptions options = {});
+                        LivePipelineOptions options = {},
+                        PacketPool* pool = nullptr);
   ~LivePipeline();
 
   LivePipeline(const LivePipeline&) = delete;
   LivePipeline& operator=(const LivePipeline&) = delete;
+
+  // Pool slots a pipeline built from (graph, options) can hold at once:
+  // a full magazine on every thread that allocates or releases, plus every
+  // in-flight packet with all its fanout copies. A shared pool at least
+  // this much larger than its other holders never fails a fanout copy.
+  static std::size_t pool_demand(const ServiceGraph& graph,
+                                 const LivePipelineOptions& options);
 
   // Feeds `frames` through the graph and blocks until every packet has been
   // delivered or dropped. May be called once per pipeline; a second call
@@ -138,27 +151,23 @@ class LivePipeline {
   // Streaming ingest, the API the sharded dataplane drives continuously:
   //   start()  spawn the worker threads (once per pipeline — a second call
   //            errors, enforcing the old run()-once contract in code);
-  //   feed()   copy one frame in (blocking under the in-flight window and
-  //            pool backpressure); single-ingest-thread discipline — only
-  //            one thread may call feed(), segment-0 rings are SPSC;
+  //   feed()   copy one frame into a pool slot (blocking under the
+  //            in-flight window and pool backpressure) and feed_packet()
+  //            it; single-ingest-thread discipline — only one thread may
+  //            feed, segment-0 rings are SPSC;
   //   drain()  wait for every in-flight packet, stop and join the workers,
   //            and hand back the accumulated result.
   // run() is now a start + feed-loop + drain composition.
   Status start();
   bool feed(std::span<const u8> frame);
-  // feed() with the latency-sampling decision made by the caller:
-  // origin_ns != 0 marks the packet sampled with that ingest timestamp
-  // (the sharded director stamps at its own feed() so the span includes
-  // director pool/ring/classify time); origin_ns == 0 means unsampled —
-  // no fallback to the pid heuristic. Plain feed() self-samples by
-  // pid % latency_sample_every when the knob is set.
-  // `flow` (optional) is the caller's already-parsed flow identity (the
-  // sharded director computes it once per frame); it is copied onto the
-  // pipeline's packet so drop exemplars and flow accounting reuse it
-  // instead of reparsing. nullptr leaves the packet's FlowRef invalid and
-  // drop paths parse lazily (they are cold).
-  bool feed_stamped(std::span<const u8> frame, u64 origin_ns,
-                    const FlowRef* flow = nullptr);
+  // Runs a packet already in this pipeline's pool through the graph,
+  // without copying it: the sharded worker hands over the director's slot.
+  // Takes ownership of `pkt` in every case (false: not running, or a
+  // counted pool_exhausted drop). The caller's stamps ride the packet:
+  // lat().origin_ns != 0 marks it sampled with that ingest time (no pid
+  // fallback — plain feed() self-samples by pid % latency_sample_every),
+  // and a valid flow() is reused by drop exemplars instead of a reparse.
+  bool feed_packet(Packet* pkt);
   LiveResult drain();
 
   NetworkFunction* nf(std::size_t segment, std::size_t index);
@@ -178,6 +187,7 @@ class LivePipeline {
   u64 worker_packets(std::size_t w) const;
   std::size_t ring_depth_in(std::size_t w) const;   // merger: 0
   std::size_t ring_depth_out(std::size_t w) const;  // merger: 0
+  // The pool this pipeline draws from (its own, or the caller's).
   std::size_t pool_in_use() const { return pool_.in_use(); }
   std::size_t pool_capacity() const { return pool_.capacity(); }
   u64 dropped_so_far();
@@ -212,9 +222,11 @@ class LivePipeline {
   u64 affinity_attempts() const {
     return affinity_attempts_.load(std::memory_order_relaxed);
   }
-  // Scrape-time fold of every thread's cycle buckets plus the pool/ring
-  // contention evidence (zeroed buckets when cycle_accounting is off).
-  // Safe from a profiler/sampler thread while the pipeline runs.
+  // Scrape-time fold of every thread's cycle buckets plus the ring
+  // contention evidence and, when the pipeline owns its pool, the pool's
+  // (the owner of a shared pool counts it once). Zeroed buckets when
+  // cycle_accounting is off. Safe from a profiler/sampler thread while the
+  // pipeline runs.
   telemetry::ShardScalabilitySnapshot scalability_snapshot();
   // Scrape-time fold of every thread's stage-latency histograms plus the
   // current ring occupancy (queue_depth). Zero histograms when
@@ -229,6 +241,9 @@ class LivePipeline {
   // drop-spike rules on `watchdog` (null to skip). Call before run().
   // A non-empty `shard` tags every probe with a {"shard", ...} label and
   // prefixes watchdog component names so S shards coexist in one registry.
+  // The pool's own probes (pool_in_use, pool_refcnt_underflow_total) and
+  // its pool rule are registered only for an owned pool; a shared pool's
+  // owner registers them once.
   void register_health(telemetry::HealthSampler& sampler,
                        telemetry::Watchdog* watchdog,
                        const std::string& shard = {});
@@ -306,9 +321,19 @@ class LivePipeline {
   // Resolves a worker index to its LiveNf, or nullptr for the merger slot.
   const LiveNf* worker_nf(std::size_t w) const;
 
+  // Pipelined feed: blocks while the in-flight window is full, crediting
+  // the wait to the feeder's ring_wait bucket.
+  void wait_for_window();
+  // Pipelined feed, once running and the window has room: stamps `pkt`
+  // and distributes it into segment 0 (a counted drop when that fails).
+  bool enter_graph(Packet* pkt);
+
   ServiceGraph graph_;
   LivePipelineOptions opts_;
-  PacketPool pool_;
+  // Null when the pipeline draws from a caller's pool; pool_ is the pool in
+  // use either way.
+  std::unique_ptr<PacketPool> own_pool_;
+  PacketPool& pool_;
   // Set when the resolved mode is kRtc: the fused executor replaces the
   // thread/ring machinery below wholesale (segments_ stays empty, no
   // threads spawn) and every lifecycle/telemetry call delegates to it. The

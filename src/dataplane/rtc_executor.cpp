@@ -79,6 +79,9 @@ Status RtcExecutor::start() {
 }
 
 bool RtcExecutor::feed(std::span<const u8> frame) {
+  if (state_.load(std::memory_order_acquire) != RunState::kRunning) {
+    return false;
+  }
   // Standalone sampling: no flow hash at this layer, so sample by pid —
   // the same heuristic as the pipelined feed().
   u64 origin = 0;
@@ -86,37 +89,35 @@ bool RtcExecutor::feed(std::span<const u8> frame) {
       next_pid_ % opts_.latency_sample_every == 0) {
     origin = telemetry::mono_now_ns();
   }
-  return feed_stamped(frame, origin);
-}
-
-bool RtcExecutor::feed_stamped(std::span<const u8> frame, u64 origin_ns,
-                               const FlowRef* flow) {
-  if (state_.load(std::memory_order_acquire) != RunState::kRunning) {
-    return false;
-  }
-  if (lat_block_ == nullptr) origin_ns = 0;
-  PacketMagazine& mag = *mag_;
-  Packet* pkt = mag.alloc(frame.size());
+  Packet* pkt = mag_->alloc(frame.size());
   if (pkt == nullptr) {
     // Run-to-completion holds at most (1 + fanout copies) slots and this is
     // the only allocating thread, so a dry pool is a sizing error, not
     // transient backpressure — blocking here would spin forever. Tail-drop
     // with the taxonomy reason instead.
-    note_drop(telemetry::DropReason::kPoolExhausted, "rtc:feeder", flow);
+    note_drop(telemetry::DropReason::kPoolExhausted, "rtc:feeder", nullptr);
     dropped_.increment();
     return false;
   }
   std::memcpy(pkt->data(), frame.data(), frame.size());
+  pkt->lat().origin_ns = origin;
+  return feed_packet(pkt);
+}
+
+bool RtcExecutor::feed_packet(Packet* pkt) {
+  if (state_.load(std::memory_order_acquire) != RunState::kRunning) {
+    pool_.release(pkt);
+    return false;
+  }
   pkt->meta().set_pid(next_pid_++ & Metadata::kMaxPid);
-  if (flow != nullptr) pkt->flow() = *flow;
-  if (origin_ns != 0) {
+  LatencyStamps& lat = pkt->lat();
+  if (lat_block_ == nullptr) lat.origin_ns = 0;
+  if (lat.origin_ns != 0) {
     // Ingest closes here, as on the pipelined path: origin -> ready-to-run
     // covers the caller's spans (director pool/ring/classify). The mark
     // opens the first queue span.
     const u64 now = telemetry::mono_now_ns();
-    LatencyStamps& lat = pkt->lat();
-    lat.origin_ns = origin_ns;
-    lat.ingest_ns = sat_sub(now, origin_ns);
+    lat.ingest_ns = sat_sub(now, lat.origin_ns);
     lat.mark_ns = now;
   }
   execute(pkt);
@@ -315,10 +316,9 @@ telemetry::ShardScalabilitySnapshot RtcExecutor::scalability_snapshot()
   telemetry::ShardScalabilitySnapshot snap;
   // No pipeline threads, no rings, no merger: the executor's cycles are its
   // caller's useful time (the shard worker's lap covers them), so only the
-  // pool evidence and progress counters report here. ring_full_events and
-  // every ring_wait/merge_wait bucket are structurally zero — the
-  // attribution collapse the profiler verifies.
-  snap.pool_cas_retries = pool_.cas_retry_total();
+  // progress counters report here. ring_full_events and every
+  // ring_wait/merge_wait bucket are structurally zero — the attribution
+  // collapse the profiler verifies.
   snap.delivered = delivered_.read();
   snap.dropped = dropped_.read();
   return snap;

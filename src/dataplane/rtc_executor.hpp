@@ -83,12 +83,13 @@ class RtcExecutor {
   RtcExecutor& operator=(const RtcExecutor&) = delete;
 
   // Same lifecycle contract as LivePipeline: start() once, single-threaded
-  // feed*() (each returns with the packet fully delivered or dropped —
-  // run to completion is literal), drain() hands back the result.
+  // feed()/feed_packet() (each returns with the packet fully delivered or
+  // dropped — run to completion is literal), drain() hands back the result.
+  // feed_packet() takes ownership of a packet from the pool, stamps
+  // included (LivePipeline::feed_packet has the contract).
   Status start();
   bool feed(std::span<const u8> frame);
-  bool feed_stamped(std::span<const u8> frame, u64 origin_ns,
-                    const FlowRef* flow = nullptr);
+  bool feed_packet(Packet* pkt);
   LiveResult drain();
 
   NetworkFunction* nf(std::size_t segment, std::size_t index) {
@@ -105,6 +106,8 @@ class RtcExecutor {
     drop_exemplars_ = ring;
   }
 
+  // Progress counters only: the owning pipeline adds the pool's evidence
+  // when the pool is its own.
   telemetry::ShardScalabilitySnapshot scalability_snapshot() const;
   telemetry::ShardLatencySnapshot latency_snapshot() const;
   // Wall time spent waiting for pool slots inside feed (the executor's only

@@ -1,7 +1,9 @@
 #include "dataplane/sharded_dataplane.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <iterator>
 
 #include "common/cpu_affinity.hpp"
 #include "common/hash.hpp"
@@ -105,19 +107,24 @@ ShardedDataplane::ShardedDataplane(std::vector<ServiceGraph> graphs,
   if (graphs_.empty()) graphs_.emplace_back();
   if (opts_.shards == 0) opts_.shards = online_cpu_count();
   opts_.shards = std::max<std::size_t>(1, opts_.shards);
-  opts_.ingest_ring_depth = std::max<std::size_t>(4, opts_.ingest_ring_depth);
+  opts_.ingest_ring_depth =
+      std::bit_ceil(std::max<std::size_t>(4, opts_.ingest_ring_depth));
   opts_.ingest_burst =
       std::clamp<std::size_t>(opts_.ingest_burst, 1, opts_.ingest_ring_depth);
-  // The ingest pool must cover a full ring plus the burst in the worker's
-  // hands, or the director could starve against its own shard.
-  opts_.ingest_pool_size =
-      std::max(opts_.ingest_pool_size,
-               opts_.ingest_ring_depth + opts_.ingest_burst);
+  // The shard pool's floor, by the sizing rule in the header.
+  const std::size_t magazine = opts_.pipeline.magazine_size;
+  std::size_t demand =
+      opts_.ingest_ring_depth + opts_.ingest_burst + 1 + 2 * magazine;
+  for (const ServiceGraph& graph : graphs_) {
+    demand += LivePipeline::pool_demand(graph, opts_.pipeline);
+  }
+  opts_.ingest_pool_size = std::max(opts_.ingest_pool_size, demand + 1);
 
   shards_.resize(opts_.shards);
   for (std::size_t s = 0; s < opts_.shards; ++s) {
     Shard& sh = shards_[s];
-    sh.ingest_pool = std::make_unique<PacketPool>(opts_.ingest_pool_size);
+    sh.pool = std::make_unique<PacketPool>(opts_.ingest_pool_size);
+    sh.director_mag = std::make_unique<PacketMagazine>(*sh.pool, magazine);
     sh.ring = std::make_unique<SpscRing<Packet*>>(opts_.ingest_ring_depth);
     sh.cache =
         std::make_unique<MicroflowCache>(ct_, opts_.microflow_capacity);
@@ -135,8 +142,8 @@ ShardedDataplane::ShardedDataplane(std::vector<ServiceGraph> graphs,
     LivePipelineOptions popts = opts_.pipeline;
     popts.pin_core = opts_.pin_threads ? static_cast<int>(s) : -1;
     for (std::size_t g = 0; g < graphs_.size(); ++g) {
-      sh.pipelines.push_back(
-          std::make_unique<LivePipeline>(graphs_[g], factory, popts));
+      sh.pipelines.push_back(std::make_unique<LivePipeline>(
+          graphs_[g], factory, popts, sh.pool.get()));
       sh.pipelines.back()->set_drop_exemplar_ring(&sh.flows->exemplars());
       sh.graph_counts.push_back(std::make_unique<telemetry::OwnedCounter>());
     }
@@ -219,7 +226,8 @@ bool ShardedDataplane::feed(std::span<const u8> frame) {
           ? telemetry::mono_now_ns()
           : 0;
   telemetry::CycleCounters* dsink = sh.director_cycles.get();
-  Packet* pkt = sh.ingest_pool->alloc(frame.size());
+  PacketMagazine& mag = *sh.director_mag;
+  Packet* pkt = mag.alloc(frame.size());
   if (pkt == nullptr) {
     if (opts_.drop_on_ingest_backpressure) {
       // NIC-like tail drop: the shard's RX pool is dry, the frame is lost.
@@ -227,14 +235,14 @@ bool ShardedDataplane::feed(std::span<const u8> frame) {
                             "director", &flow, telemetry::mono_now_ns());
       return false;
     }
-    // Ingest pool dry: the shard worker is not returning slots fast
+    // Shard pool dry: the shard worker is not returning slots fast
     // enough. Timed only on this contended path and attributed to the
     // stalling shard, since it is that shard's lost injection throughput.
     const u64 t0 = dsink != nullptr ? telemetry::mono_now_ns() : 0;
     Backoff alloc_backoff;
     do {
       alloc_backoff.pause();
-    } while ((pkt = sh.ingest_pool->alloc(frame.size())) == nullptr);
+    } while ((pkt = mag.alloc(frame.size())) == nullptr);
     if (dsink != nullptr) {
       dsink->add(telemetry::CycleBucket::kPoolWait,
                  telemetry::mono_now_ns() - t0);
@@ -248,7 +256,7 @@ bool ShardedDataplane::feed(std::span<const u8> frame) {
   if (!sh.ring->push(pkt)) {
     if (opts_.drop_on_ingest_backpressure) {
       // NIC-like tail drop: RX ring full, the frame is lost.
-      sh.ingest_pool->release(pkt);
+      mag.release(pkt);
       sh.flows->record_drop(telemetry::DropReason::kRingFull, "director",
                             &flow, telemetry::mono_now_ns());
       return false;
@@ -279,6 +287,9 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
   }
   Shard& sh = shards_[shard_idx];
   std::vector<Packet*> burst(opts_.ingest_burst);
+  // Takes the slots of frames a CT drop rule scrubs; every other frame's
+  // slot passes to its pipeline.
+  PacketMagazine mag(*sh.pool, opts_.pipeline.magazine_size);
   // Epoch-amortized flow accounting (see FlowAccumulator above). An idle
   // flush needs this many consecutive empty polls: enough that the
   // sub-microsecond gaps of a director that merely trickles rarely
@@ -327,7 +338,6 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
     sh.cache->sync_generation();
     for (std::size_t i = 0; i < n; ++i) {
       Packet* pkt = burst[i];
-      const std::span<const u8> bytes(pkt->data(), pkt->length());
       // The director already parsed + hashed the 5-tuple; reuse its FlowRef
       // for classification and the observatory keys — no reparse.
       const FlowRef& flow = pkt->flow();
@@ -344,7 +354,7 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
           acc.flush(*sh.flows);
           acc.add(flow, pkt->length(), telemetry::FlowSample::kNoGraph);
         }
-        sh.ingest_pool->release(pkt);
+        mag.release(pkt);
         continue;
       }
       sh.graph_counts[g]->increment();
@@ -353,10 +363,10 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
         acc.flush(*sh.flows);
         acc.add(flow, pkt->length(), static_cast<u32>(g));
       }
-      // The director made the sampling decision; origin_ns == 0 means
-      // unsampled (feed_stamped applies no pid fallback).
-      sh.pipelines[g]->feed_stamped(bytes, pkt->lat().origin_ns, &flow);
-      sh.ingest_pool->release(pkt);
+      // The pipeline now owns the slot (it may already be recycled when
+      // feed_packet returns). The director made the sampling decision:
+      // origin_ns == 0 means unsampled, with no pid fallback.
+      sh.pipelines[g]->feed_packet(pkt);
     }
     // Flush only when the epoch is full; the n == 0 branch above publishes
     // the moment the ring runs dry. A partial burst (n < burst.size()) is
@@ -384,29 +394,36 @@ ShardedResult ShardedDataplane::drain() {
   for (Shard& sh : shards_) {
     if (sh.worker.joinable()) sh.worker.join();
   }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = shards_[s];
-    LiveResult merged;
+  // Drain in shard order, then move every frame into one vector sized
+  // once: outputs come out shard-major and no byte is copied again.
+  std::vector<LiveResult> drained;  // [shard * G + graph]
+  std::size_t frames = 0;
+  for (Shard& sh : shards_) {
+    sh.director_mag->drain();
     for (auto& pipeline : sh.pipelines) {
-      LiveResult r = pipeline->drain();
-      if (!r.status.is_ok() && merged.status.is_ok()) {
-        merged.status = r.status;
+      drained.push_back(pipeline->drain());
+      frames += drained.back().outputs.size();
+    }
+  }
+  res.outputs.reserve(frames);
+  auto next = drained.begin();
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    ShardCounts& counts = res.per_shard.emplace_back();
+    for (std::size_t g = 0; g < graphs_.size(); ++g, ++next) {
+      if (!next->status.is_ok() && res.status.is_ok()) {
+        res.status = next->status;
       }
-      merged.dropped += r.dropped;
-      for (auto& frame : r.outputs) {
-        merged.outputs.push_back(std::move(frame));
-      }
+      counts.delivered += next->outputs.size();
+      counts.dropped += next->dropped;
+      res.outputs.insert(res.outputs.end(),
+                         std::make_move_iterator(next->outputs.begin()),
+                         std::make_move_iterator(next->outputs.end()));
     }
     // Director-level drops (tail drops, CT drop rules, shutdown drains)
     // never reached a pipeline; fold them in so dropped covers every frame
     // the plane refused — and stays equal to the per-reason sum.
-    merged.dropped += shard_director_dropped(s);
-    res.dropped += merged.dropped;
-    for (const auto& frame : merged.outputs) res.outputs.push_back(frame);
-    if (!merged.status.is_ok() && res.status.is_ok()) {
-      res.status = merged.status;
-    }
-    res.per_shard.push_back(std::move(merged));
+    counts.dropped += shard_director_dropped(s);
+    res.dropped += counts.dropped;
   }
   state_.store(RunState::kFinished, std::memory_order_release);
   return res;
@@ -538,10 +555,12 @@ telemetry::ShardScalabilitySnapshot ShardedDataplane::scalability_snapshot(
     snap.backoff_spins +=
         sh.director_spins->load(std::memory_order_relaxed);
   }
+  // The pipelines draw from the shard pool and leave its evidence out, so
+  // the pool counts once.
   for (auto& pipeline : sh.pipelines) {
     snap += pipeline->scalability_snapshot();
   }
-  snap.pool_cas_retries += sh.ingest_pool->cas_retry_total();
+  snap.pool_cas_retries += sh.pool->cas_retry_total();
   snap.ring_full_events += sh.ring->full_events();
   snap.classifier_hits = sh.cache->hits();
   snap.classifier_misses = sh.cache->misses();
@@ -635,6 +654,13 @@ void ShardedDataplane::register_health(telemetry::HealthSampler& sampler,
     sampler.add_probe("ingest_ring_depth", labels, [this, s] {
       return static_cast<double>(shards_[s].ring->size());
     });
+    // One series per shard pool: its pipelines register none of their own.
+    sampler.add_probe("pool_in_use", labels, [this, s] {
+      return static_cast<double>(shards_[s].pool->in_use());
+    });
+    sampler.add_probe("pool_refcnt_underflow_total", labels, [this, s] {
+      return static_cast<double>(shards_[s].pool->refcnt_underflow_total());
+    });
     // core_busy_ns + the sim_now_ns wall clock below let the timeseries
     // collector derive core_util{component=shardN} for `nfp_cli top`.
     sampler.add_probe(
@@ -645,6 +671,10 @@ void ShardedDataplane::register_health(telemetry::HealthSampler& sampler,
       watchdog->watch_heartbeat("shard" + shard_tag + "/ingest", [this, s] {
         return shards_[s].heartbeat_ns->load(std::memory_order_relaxed);
       });
+      watchdog->watch_pool(
+          "shard" + shard_tag + "/live-pool",
+          [this, s] { return static_cast<u64>(shards_[s].pool->in_use()); },
+          shards_[s].pool->capacity());
     }
   }
   // The live plane runs on the wall clock; publishing it as sim_now_ns

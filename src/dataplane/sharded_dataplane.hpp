@@ -20,11 +20,20 @@
 //     cache (live_classifier.hpp), so steady-state classification is one
 //     bounded-LRU lookup instead of a mutex-guarded rule scan.
 //
-// Dataflow per frame: director copies it into the shard's ingest pool and
-// SPSC ring (the RX queue); the shard worker classifies it and feeds the
-// bytes into the verdict graph's pipeline. The second copy at the pipeline
-// boundary is the software analogue of the NIC-to-mbuf RX copy and keeps
-// every pipeline's pool strictly shard-private.
+// Dataflow per frame: the director copies it into a slot of the shard's
+// packet pool and pushes the slot onto the shard's SPSC ring (the RX
+// queue); the shard worker classifies it and hands that same slot to the
+// verdict graph's pipeline (LivePipeline::feed_packet), which runs it in
+// place. Every pipeline of a shard draws from the one shard pool, so a
+// delivered frame's payload is copied twice: in at the director, out into
+// LiveResult::outputs at delivery; drain() moves those frames.
+//
+// The constructor sizes each shard pool to at least everything that can
+// hold its slots at once — a full RX ring, the worker's burst, the
+// director's frame waiting for ring space, a full director magazine and
+// worker magazine, and every pipeline's LivePipeline::pool_demand — plus
+// one. So a fanout copy never finds the pool dry, and the slots cached in
+// an idle worker's magazines can never starve the director.
 #pragma once
 
 #include <atomic>
@@ -40,6 +49,7 @@
 #include "dataplane/live_pipeline.hpp"
 #include "graph/service_graph.hpp"
 #include "nfs/nf.hpp"
+#include "packet/packet_magazine.hpp"
 #include "packet/packet_pool.hpp"
 #include "ring/spsc_ring.hpp"
 #include "telemetry/flow_observatory.hpp"
@@ -59,13 +69,14 @@ struct ShardedDataplaneOptions {
   // Shard count; 0 = one shard per online CPU (the RSS default).
   std::size_t shards = 0;
   // Applied to every shard pipeline. pin_core is overwritten per shard
-  // when pin_threads is set.
+  // when pin_threads is set; pool_size is unused (the shard pool serves).
   LivePipelineOptions pipeline;
   // Pin each shard's worker + pipeline threads to core (shard % online).
   bool pin_threads = true;
   // Per-shard microflow-cache entries (bounded LRU ahead of the CT).
   std::size_t microflow_capacity = 1024;
-  // Director -> shard-worker RX ring and its backing pool.
+  // Director -> shard-worker RX ring, and the shard's packet pool, raised
+  // to the minimum the shard's ring, magazines and graphs need.
   std::size_t ingest_ring_depth = 1024;
   std::size_t ingest_pool_size = 2048;
   // Worker-side dequeue burst.
@@ -82,18 +93,25 @@ struct ShardedDataplaneOptions {
   // Sampled drop exemplars retained per shard.
   std::size_t drop_exemplar_capacity = 64;
   // When set, the director drops (with a reason) instead of blocking when
-  // a shard's ingest pool is dry or its RX ring is full — the NIC-like
+  // a shard's pool is dry or its RX ring is full — the NIC-like
   // tail-drop policy. Default keeps the lossless blocking behaviour.
   bool drop_on_ingest_backpressure = false;
 };
 
+// One shard's totals, summed over its G graph pipelines; `dropped`
+// includes the director's drops for the shard.
+struct ShardCounts {
+  u64 delivered = 0;
+  u64 dropped = 0;
+};
+
 // Aggregate of one run. `outputs` concatenates shards in shard order (order
-// across shards is not meaningful — per-flow order within a shard is).
+// across shards is not meaningful — per-flow order within a shard is):
+// shard s's frames are the per_shard[s].delivered after those of shards < s.
 struct ShardedResult {
   std::vector<std::vector<u8>> outputs;
   u64 dropped = 0;
-  // Per-shard results, each merged across the shard's G graph pipelines.
-  std::vector<LiveResult> per_shard;
+  std::vector<ShardCounts> per_shard;
   Status status;
 };
 
@@ -165,10 +183,16 @@ class ShardedDataplane {
   // Live progress across a shard's pipelines (safe from a sampler thread).
   u64 shard_delivered(std::size_t s);
   u64 shard_dropped(std::size_t s);
+  // Shard s's packet pool, shared by the director and every pipeline of
+  // the shard (occupancy and contention reads are safe mid-run).
+  const PacketPool& shard_pool(std::size_t s) const {
+    return *shards_.at(s).pool;
+  }
 
   // Registers every shard pipeline's probes (tagged {"shard", "<s>"} or
-  // "<s>.g<g>" with multiple graphs) plus shard-level rx/microflow/ring
-  // probes and worker-stall watchdog rules. Call before start().
+  // "<s>.g<g>" with multiple graphs) plus shard-level rx/microflow/ring/
+  // pool probes, worker-stall and pool-exhaustion watchdog rules. Call
+  // before start().
   void register_health(telemetry::HealthSampler& sampler,
                        telemetry::Watchdog* watchdog);
 
@@ -207,7 +231,11 @@ class ShardedDataplane {
 
  private:
   struct Shard {
-    std::unique_ptr<PacketPool> ingest_pool;
+    // Every packet slot of the shard. Declared first so it outlives the
+    // magazine and pipelines below, which return slots to it on teardown.
+    std::unique_ptr<PacketPool> pool;
+    // The director's allocation cache on `pool` (director thread only).
+    std::unique_ptr<PacketMagazine> director_mag;
     std::unique_ptr<SpscRing<Packet*>> ring;
     std::thread worker;
     std::vector<std::unique_ptr<LivePipeline>> pipelines;  // [graph]

@@ -1,12 +1,17 @@
 // Tests for the sharded live dataplane: output equivalence with a single
 // pipeline, flow-consistent dispatch, live multi-graph classification
-// through the microflow cache, CPU-pinning reporting, and the streaming /
-// run-once lifecycle contracts.
+// through the microflow cache, CPU-pinning reporting, the streaming /
+// run-once lifecycle contracts, and the per-shard packet pool (telemetry
+// counted once, every slot returned, teardown order, minimum size).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <map>
+#include <memory>
 #include <set>
+#include <thread>
 
 #include "common/cpu_affinity.hpp"
 #include "dataplane/live_pipeline.hpp"
@@ -16,6 +21,8 @@
 #include "orch/compiler.hpp"
 #include "packet/builder.hpp"
 #include "policy/policy.hpp"
+#include "telemetry/health_sampler.hpp"
+#include "telemetry/registry.hpp"
 
 namespace nfp {
 namespace {
@@ -89,20 +96,24 @@ TEST(ShardedDataplane, AllPacketsOfAFlowExitOneShard) {
   ASSERT_TRUE(res.status.is_ok());
   ASSERT_EQ(res.per_shard.size(), 4u);
 
+  // outputs is shard-major: shard s's frames follow those of shards < s.
   std::map<u16, std::set<std::size_t>> shards_seen;  // src_port -> shards
   std::size_t delivered = 0;
   for (std::size_t s = 0; s < res.per_shard.size(); ++s) {
-    for (const auto& frame : res.per_shard[s].outputs) {
+    const std::size_t end = delivered + res.per_shard[s].delivered;
+    ASSERT_LE(end, res.outputs.size());
+    for (; delivered < end; ++delivered) {
+      const auto& frame = res.outputs[delivered];
       const auto tuple =
           parse_five_tuple({frame.data(), frame.size()});
       ASSERT_TRUE(tuple.has_value());
       shards_seen[tuple->src_port].insert(s);
       // The shard that emitted the frame must be the director's choice.
       EXPECT_EQ(s, dp.shard_for({frame.data(), frame.size()}));
-      ++delivered;
     }
   }
   EXPECT_EQ(delivered, frames.size());
+  EXPECT_EQ(res.outputs.size(), frames.size());
   EXPECT_EQ(shards_seen.size(), kFlows);
   for (const auto& [port, shards] : shards_seen) {
     EXPECT_EQ(shards.size(), 1u)
@@ -316,6 +327,196 @@ TEST(ShardedDataplane, ReportsAffinityOutcome) {
   ShardedDataplane dp2({compile_chain({"monitor"})}, {}, unpinned);
   ASSERT_TRUE(dp2.run(make_flow_frames(8, 2)).status.is_ok());
   EXPECT_FALSE(dp2.affinity_applied());
+}
+
+// --- the shard pool ------------------------------------------------------
+
+void wait_until_done(ShardedDataplane& dp, u64 expected) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  u64 done = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    done = 0;
+    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+      done += dp.shard_delivered(s) + dp.shard_dropped(s);
+    }
+    if (done >= expected) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  FAIL() << "dataplane stuck: " << done << "/" << expected << " frames";
+}
+
+// IDS ∥ Monitor ∥ LB: LB writes the IP header, so it runs on a header-only
+// copy (the graph's version 2).
+ServiceGraph header_copy_graph() {
+  ServiceGraph g = compile_chain({"ids", "monitor", "lb"});
+  EXPECT_EQ(g.segments().front().num_versions, 2u);
+  EXPECT_FALSE(g.segments().front().version_needs_full_copy(2));
+  return g;
+}
+
+TEST(ShardedDataplane, ShardPoolTelemetryCountsOnce) {
+  // Three graphs' pipelines draw from one shard pool: its occupancy is one
+  // pool_in_use series that reads that pool, and its free-list contention
+  // counts once in the shard's scalability snapshot, not once more per
+  // pipeline.
+  const std::size_t kFlows = 12;
+  ShardedDataplaneOptions opts;
+  opts.shards = 1;
+  opts.pipeline.exec_mode = ExecMode::kRtc;
+  // Two-slot magazines move a slot through the free list every other
+  // packet, so the director's refills race the worker's flushes.
+  opts.pipeline.magazine_size = 2;
+  std::vector<ServiceGraph> graphs;
+  for (const char* nf : {"monitor", "lb", "monitor"}) {
+    graphs.push_back(compile_chain({nf}));
+  }
+  ShardedDataplane dp(std::move(graphs), {}, opts);
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    dp.add_flow_rule(test_tuple(f), f % 3);
+  }
+  telemetry::MetricsRegistry registry;
+  telemetry::HealthSampler sampler(registry);
+  dp.register_health(sampler, nullptr);
+  ASSERT_TRUE(dp.start().is_ok());
+
+  // Feed until the free list has seen a lost CAS (bounded: a host with one
+  // CPU may never show one).
+  const auto frames = make_flow_frames(2'000, kFlows);
+  const PacketPool& pool = dp.shard_pool(0);
+  u64 fed = 0;
+  for (int round = 0; round < 20; ++round) {
+    for (const auto& frame : frames) dp.feed({frame.data(), frame.size()});
+    fed += frames.size();
+    if (pool.cas_retry_total() > 0) break;
+  }
+  wait_until_done(dp, fed);
+
+  // Quiescent: the slots out of the free list are the ones the magazines
+  // cache, at least the two each graph's executor keeps.
+  sampler.sample_once();
+  std::size_t series = 0;
+  for (const auto& [key, gauge] : registry.gauges()) {
+    if (key.name != "pool_in_use") continue;
+    ++series;
+    EXPECT_EQ(gauge.value.load(), static_cast<double>(pool.in_use()));
+  }
+  EXPECT_EQ(series, 1u);
+  EXPECT_GT(pool.in_use(), 0u);
+  EXPECT_EQ(dp.scalability_snapshot(0).pool_cas_retries,
+            pool.cas_retry_total());
+
+  const ShardedResult res = dp.drain();
+  ASSERT_TRUE(res.status.is_ok());
+  EXPECT_EQ(res.outputs.size(), fed);
+}
+
+TEST(ShardedDataplane, ShardPoolsGetEverySlotBackOnDrain) {
+  // Whatever ends a frame — delivery through a header-only fanout copy and
+  // merge, an NF verdict, a CT drop rule, a director tail drop — its slots
+  // are back in the shard pool once drain() returns, in both modes.
+  const auto drop_factory =
+      [](const StageNf& nf) -> std::unique_ptr<NetworkFunction> {
+    if (nf.name == "firewall") {
+      AclTable acl;
+      acl.set_default_action(AclAction::kDrop);
+      return std::make_unique<Firewall>(std::move(acl));
+    }
+    return make_builtin_nf(nf.name);
+  };
+  const std::size_t kFlows = 24;
+  const auto frames = make_flow_frames(8'000, kFlows);
+  for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    ShardedDataplaneOptions opts;
+    opts.shards = 2;
+    opts.pipeline.exec_mode = mode;
+    opts.ingest_ring_depth = 4;  // tiny RX ring: the director tail-drops
+    opts.drop_on_ingest_backpressure = true;
+    std::vector<ServiceGraph> graphs;
+    graphs.push_back(header_copy_graph());
+    graphs.push_back(compile_chain({"firewall"}));
+    ShardedDataplane dp(std::move(graphs), drop_factory, opts);
+    for (std::size_t f = 0; f < kFlows; f += 3) {
+      dp.add_flow_rule(test_tuple(f), 1);
+      dp.add_flow_rule(test_tuple(f + 1), LiveClassificationTable::kDropGraph);
+    }
+
+    const ShardedResult res = dp.run(frames);
+    ASSERT_TRUE(res.status.is_ok());
+    EXPECT_GT(res.outputs.size(), 0u);
+    EXPECT_EQ(res.outputs.size() + res.dropped, frames.size());
+    std::array<u64, telemetry::kDropReasonCount> reasons{};
+    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+      const telemetry::ShardFlowSnapshot snap = dp.flow_snapshot(s);
+      for (std::size_t r = 0; r < reasons.size(); ++r) {
+        reasons[r] += snap.drops[r];
+      }
+    }
+    const auto count = [&](telemetry::DropReason r) {
+      return reasons[static_cast<std::size_t>(r)];
+    };
+    EXPECT_GT(count(telemetry::DropReason::kNfVerdict), 0u);
+    EXPECT_GT(count(telemetry::DropReason::kClassifierMiss), 0u);
+    EXPECT_GT(count(telemetry::DropReason::kRingFull) +
+                  count(telemetry::DropReason::kPoolExhausted),
+              0u);
+    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+      EXPECT_EQ(dp.shard_pool(s).in_use(), 0u) << "shard " << s;
+      EXPECT_EQ(dp.shard_pool(s).refcnt_underflow_total(), 0u);
+    }
+  }
+}
+
+TEST(ShardedDataplane, DestroyedWithoutDrainIsClean) {
+  // Torn down mid-run: frames still on the rings and in the pipelines,
+  // slots cached in every magazine. Each magazine hands its slots back to
+  // a shard pool that must still be alive (ASan checks the order).
+  const auto frames = make_flow_frames(2'000, 16);
+  for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
+    ShardedDataplaneOptions opts;
+    opts.shards = 2;
+    opts.pipeline.exec_mode = mode;
+    auto dp = std::make_unique<ShardedDataplane>(
+        std::vector<ServiceGraph>{header_copy_graph()},
+        ShardedDataplane::NfFactory{}, opts);
+    ASSERT_TRUE(dp->start().is_ok());
+    for (const auto& frame : frames) dp->feed({frame.data(), frame.size()});
+    dp.reset();
+  }
+}
+
+TEST(ShardedDataplane, SmallestPoolRunsLossless) {
+  // The smallest shard pool the constructor allows still runs lossless in
+  // blocking mode. Between waves the worker sits idle on whatever its
+  // magazines cached; the director must still find a slot, and a fanout
+  // copy must never find the pool dry.
+  const std::size_t kWaves = 4;
+  const auto frames = make_flow_frames(1'000, 16);
+  for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    ShardedDataplaneOptions opts;
+    opts.shards = 2;
+    opts.pipeline.exec_mode = mode;
+    opts.ingest_pool_size = 1;
+    opts.ingest_ring_depth = 4;
+    opts.ingest_burst = 1;
+    ShardedDataplane dp({header_copy_graph()}, {}, opts);
+    ASSERT_TRUE(dp.start().is_ok());
+    for (std::size_t w = 1; w <= kWaves; ++w) {
+      for (const auto& frame : frames) {
+        EXPECT_TRUE(dp.feed({frame.data(), frame.size()}));
+      }
+      wait_until_done(dp, w * frames.size());
+    }
+    const ShardedResult res = dp.drain();
+    ASSERT_TRUE(res.status.is_ok());
+    EXPECT_EQ(res.outputs.size(), kWaves * frames.size());
+    EXPECT_EQ(res.dropped, 0u);
+    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+      EXPECT_EQ(dp.shard_pool(s).in_use(), 0u) << "shard " << s;
+    }
+  }
 }
 
 }  // namespace

@@ -437,31 +437,41 @@ TEST(FlowObservatoryTest, InducedRingFullDropsCarryReason) {
 
 TEST(FlowObservatoryTest, InducedPoolExhaustedDropsCarryReason) {
   // A 4-version parallel stage needs the original plus 3 clones per
-  // packet; a 3-slot pipeline pool can never satisfy the third clone, so
-  // every packet must surface as pool_exhausted — never as silent loss.
+  // packet; a 3-slot pool can never satisfy the third clone, so every
+  // packet must surface as pool_exhausted — never as silent loss. A
+  // ShardedDataplane sizes its shard pools so a fanout never runs dry, so
+  // the mid-fanout case is induced on a standalone pipeline's own pool.
   const auto frames =
       frames_for_sequence(interleaved_flow_sequence(zipf_counts(16, 400)));
+  for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    LivePipelineOptions opts;
+    opts.exec_mode = mode;
+    opts.pool_size = 3;
+    opts.magazine_size = 0;  // no per-thread caching of the 3 slots
+    LivePipeline pipe(
+        ServiceGraph::parallel("par4",
+                               {"monitor", "monitor", "monitor", "monitor"},
+                               {1, 2, 3, 4}),
+        {}, opts);
+    DropExemplarRing exemplars;
+    pipe.set_drop_exemplar_ring(&exemplars);
+    const LiveResult res = pipe.run(frames);
+    ASSERT_TRUE(res.status.is_ok());
 
-  ShardedDataplaneOptions opts;
-  opts.shards = 1;
-  opts.pipeline.pool_size = 3;
-  opts.pipeline.magazine_size = 0;  // no per-thread caching of the 3 slots
-  ShardedDataplane dp(
-      {ServiceGraph::parallel("par4",
-                              {"monitor", "monitor", "monitor", "monitor"},
-                              {1, 2, 3, 4})},
-      {}, opts);
-  FlowObservatory obs;
-  dp.register_flows(obs);
-  const FlowReport rep = run_flows(dp, obs, frames);
-
-  EXPECT_EQ(
-      rep.total.drops[static_cast<std::size_t>(DropReason::kPoolExhausted)],
-      frames.size());
-  check_drop_sum_invariant(dp, obs);
-  const ShardedResult res = dp.drain();
-  EXPECT_TRUE(res.status.is_ok());
-  EXPECT_EQ(res.dropped, total_dropped(dp));
+    EXPECT_TRUE(res.outputs.empty());
+    EXPECT_EQ(res.dropped, frames.size());
+    EXPECT_EQ(pipe.dropped_by(DropReason::kPoolExhausted), frames.size());
+    u64 by_reason = 0;
+    for (std::size_t r = 0; r < kDropReasonCount; ++r) {
+      by_reason += pipe.dropped_by(static_cast<DropReason>(r));
+    }
+    EXPECT_EQ(by_reason, res.dropped) << "a drop escaped the reason taxonomy";
+    const auto sampled = exemplars.snapshot();
+    ASSERT_FALSE(sampled.empty());
+    EXPECT_EQ(sampled.back().reason, DropReason::kPoolExhausted);
+    EXPECT_EQ(pipe.pool_in_use(), 0u) << "fanout rollback leaked a slot";
+  }
 }
 
 TEST(FlowObservatoryTest, ClassifierDropRuleCountsClassifierMiss) {

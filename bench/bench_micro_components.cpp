@@ -4,10 +4,16 @@
 // actual C++ implementations on this host (not simulated time).
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "acl/acl.hpp"
 #include "crypto/aes128.hpp"
 #include "dpi/aho_corasick.hpp"
 #include "lpm/lpm_table.hpp"
+#include "nfs/ids.hpp"
 #include "orch/compiler.hpp"
 #include "packet/builder.hpp"
 #include "packet/checksum.hpp"
@@ -112,48 +118,79 @@ void BM_AesCtrPayload(benchmark::State& state) {
 }
 BENCHMARK(BM_AesCtrPayload)->Arg(64)->Arg(724)->Arg(1460);
 
-// Multi-pattern matching: Aho-Corasick single pass vs naive per-signature
-// scan over a 1KB payload with 100 signatures (the IDS workload).
-void BM_AhoCorasick100Sigs(benchmark::State& state) {
-  std::vector<std::string> sigs;
-  Rng rng(3);
-  for (int i = 0; i < 100; ++i) {
-    std::string sig;
-    for (int j = 0; j < 8; ++j) {
-      sig.push_back(static_cast<char>('A' + rng.bounded(26)));
+// Multi-pattern matching over the IDS's own 100 signatures: the
+// Aho-Corasick single pass vs the naive per-signature scan, on two 724-B
+// payloads (the Benson mix's mean frame). `no_start` holds only bytes that
+// start no signature, so the automaton stays at its root; `sig_letters`
+// holds random signature letters, so it walks the DFA on every byte.
+// Neither holds a whole signature.
+enum class DpiPayload { kNoStart, kSigLetters };
+
+std::string dpi_payload(const std::vector<std::string>& sigs,
+                        DpiPayload kind) {
+  std::array<bool, 256> starts{};
+  std::array<bool, 256> letters{};
+  for (const std::string& sig : sigs) {
+    starts[static_cast<u8>(sig.front())] = true;
+    for (const char c : sig) letters[static_cast<u8>(c)] = true;
+  }
+  std::string alphabet;
+  for (std::size_t b = 0; b < 256; ++b) {
+    if (kind == DpiPayload::kNoStart ? !starts[b] : letters[b]) {
+      alphabet.push_back(static_cast<char>(b));
     }
-    sigs.push_back(std::move(sig));
+  }
+  Rng rng(11);
+  std::string payload;
+  for (int i = 0; i < 724; ++i) {
+    payload.push_back(alphabet[rng.bounded(alphabet.size())]);
+  }
+  return payload;
+}
+
+bool naive_contains(const std::vector<std::string>& sigs,
+                    const std::string& payload) {
+  bool hit = false;
+  for (const std::string& sig : sigs) {
+    hit |= payload.find(sig) != std::string::npos;
+  }
+  return hit;
+}
+
+void BM_AhoCorasick100Sigs(benchmark::State& state, DpiPayload kind) {
+  const auto sigs = Ids::synthetic_signatures(100, 3);
+  const std::string payload = dpi_payload(sigs, kind);
+  if (naive_contains(sigs, payload)) {
+    state.SkipWithError("payload holds a signature");
+    return;
   }
   const AhoCorasick ac(sigs);
-  std::vector<u8> payload(1024, 'x');
+  const std::span<const u8> bytes(
+      reinterpret_cast<const u8*>(payload.data()), payload.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ac.contains(payload));
+    benchmark::DoNotOptimize(ac.contains(bytes));
   }
-  state.SetBytesProcessed(static_cast<i64>(state.iterations()) * 1024);
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(payload.size()));
 }
-BENCHMARK(BM_AhoCorasick100Sigs);
+BENCHMARK_CAPTURE(BM_AhoCorasick100Sigs, no_start, DpiPayload::kNoStart);
+BENCHMARK_CAPTURE(BM_AhoCorasick100Sigs, sig_letters, DpiPayload::kSigLetters);
 
-void BM_NaiveScan100Sigs(benchmark::State& state) {
-  std::vector<std::string> sigs;
-  Rng rng(3);
-  for (int i = 0; i < 100; ++i) {
-    std::string sig;
-    for (int j = 0; j < 8; ++j) {
-      sig.push_back(static_cast<char>('A' + rng.bounded(26)));
-    }
-    sigs.push_back(std::move(sig));
+void BM_NaiveScan100Sigs(benchmark::State& state, DpiPayload kind) {
+  const auto sigs = Ids::synthetic_signatures(100, 3);
+  const std::string payload = dpi_payload(sigs, kind);
+  if (naive_contains(sigs, payload)) {
+    state.SkipWithError("payload holds a signature");
+    return;
   }
-  const std::string payload(1024, 'x');
   for (auto _ : state) {
-    bool hit = false;
-    for (const auto& sig : sigs) {
-      hit |= payload.find(sig) != std::string::npos;
-    }
-    benchmark::DoNotOptimize(hit);
+    benchmark::DoNotOptimize(naive_contains(sigs, payload));
   }
-  state.SetBytesProcessed(static_cast<i64>(state.iterations()) * 1024);
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(payload.size()));
 }
-BENCHMARK(BM_NaiveScan100Sigs);
+BENCHMARK_CAPTURE(BM_NaiveScan100Sigs, no_start, DpiPayload::kNoStart);
+BENCHMARK_CAPTURE(BM_NaiveScan100Sigs, sig_letters, DpiPayload::kSigLetters);
 
 void BM_Ipv4Checksum(benchmark::State& state) {
   u8 header[20] = {0x45, 0, 0, 0x73};

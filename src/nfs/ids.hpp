@@ -18,8 +18,8 @@ namespace nfp {
 
 class Ids : public NetworkFunction {
  public:
-  explicit Ids(std::vector<std::string> signatures)
-      : matcher_(signatures), signatures_(std::move(signatures)) {}
+  explicit Ids(const std::vector<std::string>& signatures)
+      : matcher_(signatures) {}
 
   static std::vector<std::string> synthetic_signatures(std::size_t count = 100,
                                                        u64 seed = 3) {
@@ -68,7 +68,6 @@ class Ids : public NetworkFunction {
 
  private:
   AhoCorasick matcher_;
-  std::vector<std::string> signatures_;
   u64 alerts_ = 0;
 };
 

@@ -10,17 +10,26 @@
 // O(distinct masks), not O(rules); real rule sets reuse a handful of mask
 // shapes no matter how many rules they hold.
 //
+// Storage is flat. Every rule is ranked once at build by (priority desc,
+// insertion order asc), so the verdict is the matching cell of lowest rank.
+// Each tuple owns a power-of-two run of 24-byte cells in one shared array,
+// sized from its rule count to stay at most half full; a cell holds the
+// masked key, the rank and the graph inline, so a probe is a masked hash
+// and a linear scan of adjacent cells — no node, no modulo. The snapshot's
+// exact-match entries live in one more run of cells, probed first.
+//
 // Two prunes keep the tuple walk short:
-//  - Priority: tuples are sorted by descending max rule priority, so the
-//    walk stops as soon as the best verdict found so far outranks every
-//    rule a remaining tuple could produce. Ties continue the walk
-//    (an equal-priority rule inserted earlier still has to win).
+//  - Priority: tuples are sorted by their best (lowest) rank, so the walk
+//    stops as soon as the best verdict found so far outranks every rule a
+//    remaining tuple holds.
 //  - Prefix (OVS's staged-lookup trick, via src/lpm): all contiguous
-//    src/dst prefixes live in two binary tries; one trie walk per lookup
-//    yields a bitmask of prefix lengths under which this address matches
-//    *some* rule, and tuples whose prefix length bit is clear are skipped
-//    without hashing. Non-contiguous and wildcard masks opt out of the
-//    prune (always probed) — pruning is conservative-only.
+//    src/dst prefixes live in two LpmTables; one walk per lookup yields a
+//    bitmask of prefix lengths under which this address matches *some*
+//    rule. Per prefix length, the snapshot keeps a bitset of the tuples
+//    with that length, so the lengths that missed rule out their tuples
+//    with a few word ORs, and the walk visits only tuples still eligible.
+//    Non-contiguous and wildcard masks opt out of the prune (always
+//    probed) — pruning is conservative-only.
 //
 // A TupleSpaceClassifier is an immutable snapshot: build() constructs one
 // from the authoritative rule list, classify() is const and touches no
@@ -129,26 +138,30 @@ class TupleSpaceClassifier {
   std::size_t rule_count() const noexcept { return rule_count_; }
 
  private:
-  // Winning rule for one (tuple, masked key): max by (priority desc,
-  // insertion order asc). Rules sharing both have identical match
-  // predicates, so only the winner is reachable.
-  struct Candidate {
-    int priority = 0;
-    u32 seq = 0;       // insertion index; lower wins priority ties
-    std::size_t graph = 0;
-  };
+  static constexpr u32 kEmptyRank = 0xFFFFFFFFu;
+  static constexpr u32 kDropCell = 0xFFFFFFFFu;
 
-  // One distinct mask signature and its exact-match table of masked keys.
+  // One slot of a tuple's table: a canonically masked key and the winning
+  // rule for it. Rules sharing a (tuple, masked key) have identical match
+  // predicates, so only the lowest rank is reachable and build() keeps it.
+  struct Cell {
+    FiveTuple key;
+    u32 rank = kEmptyRank;  // kEmptyRank = empty slot
+    u32 graph = 0;          // kDropCell = kCtDropGraph
+  };
+  static_assert(sizeof(Cell) == 24, "cells stay compact: RSS at 100k rules");
+
+  // One distinct mask signature: what a probe reads. Port and proto masks
+  // are all-ones when the signature matches the field, else zero.
   struct Tuple {
     u32 src_mask = 0;
     u32 dst_mask = 0;
-    bool match_src_port = false;
-    bool match_dst_port = false;
-    bool match_proto = false;
-    int max_priority = 0;      // walk-pruning bound over entries
-    i8 src_prefix_len = -1;    // 0..32 when the mask is a prefix, else -1
-    i8 dst_prefix_len = -1;
-    std::unordered_map<FiveTuple, Candidate, FiveTupleHash> entries;
+    u16 src_port_mask = 0;
+    u16 dst_port_mask = 0;
+    u8 proto_mask = 0;
+    u32 min_rank = kEmptyRank;  // walk-pruning bound over its cells
+    u32 first = 0;              // offset of its run in cells_
+    u32 slot_mask = 0;          // run length - 1 (a power of two)
   };
 
   explicit TupleSpaceClassifier(std::size_t graph_count)
@@ -159,17 +172,45 @@ class TupleSpaceClassifier {
     return g < graph_count_ ? g : 0;
   }
 
+  // Canonical key of `flow` under a tuple's signature: masked addresses and
+  // zeroed port/proto fields the signature does not match, so a stored rule
+  // and a probing packet collapse to the same key.
+  static FiveTuple masked(const Tuple& tuple, const FiveTuple& flow) noexcept {
+    return {flow.src_ip & tuple.src_mask, flow.dst_ip & tuple.dst_mask,
+            static_cast<u16>(flow.src_port & tuple.src_port_mask),
+            static_cast<u16>(flow.dst_port & tuple.dst_port_mask),
+            static_cast<u8>(flow.proto & tuple.proto_mask)};
+  }
+  static u32 home(const Tuple& tuple, const FiveTuple& key) noexcept {
+    return static_cast<u32>(hash_five_tuple(key)) & tuple.slot_mask;
+  }
+  // Build only: stores (rank, graph) under the rule's masked key unless a
+  // lower rank already holds it.
+  void insert(const Tuple& tuple, const FiveTuple& rule, u32 rank,
+              std::size_t graph);
+  const Cell* find(const Tuple& tuple, const FiveTuple& flow) const noexcept;
+  static std::size_t verdict(const Cell& cell) noexcept {
+    return cell.graph == kDropCell ? kCtDropGraph : cell.graph;
+  }
+
   std::size_t graph_count_;
   std::size_t rule_count_ = 0;
-  ExactCtMap exact_;
-  std::vector<Tuple> tuples_;  // sorted by descending max_priority
+  std::vector<Cell> cells_;    // every tuple's run, then the exact run
+  Tuple exact_;                // full masks; empty when slot_mask == 0
+  std::vector<Tuple> tuples_;  // sorted by ascending min_rank
+  // Eligibility bitsets, `words_` u64 per row: bit t of row L is set when
+  // tuple t's src (dst) mask is the /L prefix; the `any` rows hold the
+  // tuples whose mask is a wildcard or non-contiguous and so always probe.
+  std::size_t words_ = 0;
+  std::vector<u64> src_by_len_;  // 33 rows
+  std::vector<u64> dst_by_len_;
+  std::vector<u64> src_any_;
+  std::vector<u64> dst_any_;
   // All contiguous rule prefixes, for the staged-lookup prune. The stored
   // next-hop value is unused; only "does a prefix of length L cover this
   // address" matters (LpmTable::match_length_mask).
-  bool src_trie_used_ = false;
-  bool dst_trie_used_ = false;
-  LpmTable src_trie_;
-  LpmTable dst_trie_;
+  LpmTable src_prefixes_;
+  LpmTable dst_prefixes_;
 };
 
 // Deterministic synthetic rule set for benchmarks and stress tests: `count`

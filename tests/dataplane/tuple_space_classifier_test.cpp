@@ -11,6 +11,7 @@
 #include "dataplane/live_classifier.hpp"
 #include "dataplane/tuple_space_classifier.hpp"
 #include "packet/headers.hpp"
+#include "trafficgen/trafficgen.hpp"
 
 namespace nfp {
 namespace {
@@ -124,6 +125,65 @@ TEST(TupleSpaceClassifier, DifferentialFuzzMatchesLinearScan) {
       ASSERT_EQ(tuple_table.classify(probe), linear.classify(probe))
           << "round " << round << " hit-probe";
     }
+  }
+}
+
+TEST(TupleSpaceClassifier, TableScaleMatchesLinearScan) {
+  // The fuzz test above keeps a handful of keys per tuple. This one has
+  // ct-churn's shape at a fifth of its size: thousands of cells per tuple,
+  // so long probe runs and runs that wrap past the end of a tuple's cells
+  // occur, plus exact-match drop rules at priority 100 and rules added
+  // one at a time after the bulk load.
+  constexpr std::size_t kCtGraphs = 3;
+  std::vector<CtRule> rules = synthetic_ct_rules(20'000, 0x5173, kCtGraphs);
+  for (std::size_t flow = 3; flow < 20'000; flow += 97) {
+    const FiveTuple t = TrafficGenerator::flow_tuple(flow);
+    CtRule drop;
+    drop.src_ip = t.src_ip;
+    drop.src_mask = 0xFFFFFFFFu;
+    drop.dst_ip = t.dst_ip;
+    drop.dst_mask = 0xFFFFFFFFu;
+    drop.src_port = t.src_port;
+    drop.match_src_port = true;
+    drop.dst_port = t.dst_port;
+    drop.match_dst_port = true;
+    drop.proto = t.proto;
+    drop.match_proto = true;
+    drop.priority = 100;
+    drop.graph = kCtDropGraph;
+    rules.push_back(drop);
+  }
+  const std::size_t singles = 24;
+  LiveClassificationTable ct(kCtGraphs);
+  ct.add_rules({rules.begin(), rules.end() - singles});
+  for (auto it = rules.end() - singles; it != rules.end(); ++it) {
+    ct.add_rule(*it);
+  }
+  LinearCtScan linear(kCtGraphs);
+  linear.add_rules(rules);
+  ASSERT_EQ(ct.rule_entries(), rules.size());
+
+  std::size_t drops = 0;
+  for (std::size_t flow = 0; flow < 20'000; flow += 7) {
+    const FiveTuple probe = TrafficGenerator::flow_tuple(flow);
+    const std::size_t want = linear.classify(probe);
+    ASSERT_EQ(ct.classify(probe), want) << "flow " << flow;
+    drops += want == kCtDropGraph;
+  }
+  EXPECT_GT(drops, 0u) << "the exact drop rules must be reachable";
+  // A hit probe for every rule: only a few keys per tuple sit in a probe
+  // run that wraps past the end of the tuple's cells or runs three deep,
+  // and a probe for every 50th rule reached none of them.
+  Rng rng(0x7AB1E);
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    const FiveTuple probe = hit_probe(rules[i], rng);
+    ASSERT_EQ(ct.classify(probe), linear.classify(probe)) << "rule " << i;
+  }
+  for (int i = 0; i < 500; ++i) {
+    FiveTuple miss = random_probe(rng);
+    miss.src_ip = 0xC0A80000u | static_cast<u32>(rng.bounded(65'536));
+    ASSERT_EQ(ct.classify(miss), 0u);
+    ASSERT_EQ(linear.classify(miss), 0u);
   }
 }
 

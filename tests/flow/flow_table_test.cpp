@@ -1,11 +1,16 @@
 // Tests for the bounded LRU flow table: insert/lookup semantics, LRU
-// eviction at capacity, erase/clear, MRU iteration order, and a
-// differential check against std::unordered_map as the reference model
-// (while the table stays under capacity, the two must agree exactly).
+// eviction at capacity, erase/clear, MRU iteration order, a differential
+// check against std::unordered_map while the table stays under capacity,
+// and one against a reference LRU (std::list + std::map) past capacity,
+// where eviction order, backward-shift deletion under churn and reuse
+// after clear() all have to agree step by step.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <list>
+#include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -157,6 +162,124 @@ TEST(FlowTableTest, DifferentialAgainstUnorderedMap) {
     ASSERT_NE(it, model.end());
     EXPECT_EQ(it->second, count);
   });
+}
+
+// The model FlowTable must match exactly: front of the list = most recent,
+// the LRU victim is the back.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  u64& get_or_create(std::size_t key) {
+    if (u64* hit = touch(key)) return *hit;
+    if (index_.size() == capacity_) {
+      index_.erase(order_.back().first);
+      order_.pop_back();
+      ++evictions_;
+    }
+    order_.emplace_front(key, 0);
+    index_[key] = order_.begin();
+    return order_.front().second;
+  }
+
+  u64* touch(std::size_t key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return nullptr;
+    order_.splice(order_.begin(), order_, it->second);
+    return &it->second->second;
+  }
+
+  const u64* peek(std::size_t key) const {
+    const auto it = index_.find(key);
+    return it == index_.end() ? nullptr : &it->second->second;
+  }
+
+  bool erase(std::size_t key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    order_.erase(it->second);
+    index_.erase(it);
+    return true;
+  }
+
+  void clear() {
+    order_.clear();
+    index_.clear();
+  }
+
+  std::size_t size() const { return index_.size(); }
+  u64 evictions() const { return evictions_; }
+  const std::list<std::pair<std::size_t, u64>>& order() const {
+    return order_;
+  }
+
+ private:
+  using Order = std::list<std::pair<std::size_t, u64>>;
+  std::size_t capacity_;
+  Order order_;
+  std::map<std::size_t, Order::iterator> index_;
+  u64 evictions_ = 0;
+};
+
+TEST(FlowTableTest, DifferentialAgainstReferenceLruPastCapacity) {
+  // Keys range over three times the capacity, so most inserts evict and
+  // the index sees long runs of backward-shift deletions; a rare clear()
+  // checks that the kept storage refills like a new table.
+  for (std::size_t capacity = 1; capacity <= 33; ++capacity) {
+    FlowTable<u64> table(capacity);
+    ReferenceLru model(capacity);
+    const std::size_t keys = 3 * capacity;
+    for (u64 step = 0; step < 1'500; ++step) {
+      const u64 r = splitmix(capacity * 1'000'003 + step);
+      const std::size_t f = (r >> 8) % keys;
+      const u64 op = r % 200;
+      if (op < 90) {
+        table.get_or_create(tuple(f)) += step;
+        model.get_or_create(f) += step;
+      } else if (op < 130) {
+        u64* got = table.touch(tuple(f));
+        u64* want = model.touch(f);
+        ASSERT_EQ(got == nullptr, want == nullptr) << "touch, step " << step;
+        if (got != nullptr) {
+          *got ^= r;
+          *want ^= r;
+        }
+      } else if (op < 160) {
+        const u64* got = table.peek(tuple(f));
+        const u64* want = model.peek(f);
+        ASSERT_EQ(got == nullptr, want == nullptr) << "peek, step " << step;
+      } else if (op < 199) {
+        ASSERT_EQ(table.erase(tuple(f)), model.erase(f)) << "step " << step;
+      } else {
+        table.clear();
+        model.clear();
+      }
+
+      ASSERT_EQ(table.size(), model.size()) << "capacity " << capacity;
+      ASSERT_EQ(table.evictions(), model.evictions())
+          << "capacity " << capacity << " step " << step;
+      for (std::size_t k = 0; k < keys; ++k) {
+        const u64* got = table.peek(tuple(k));
+        const u64* want = model.peek(k);
+        ASSERT_EQ(got == nullptr, want == nullptr)
+            << "capacity " << capacity << " step " << step << " key " << k;
+        if (got != nullptr) {
+          ASSERT_EQ(*got, *want);
+        }
+      }
+      auto expected = model.order().begin();
+      std::size_t visited = 0;
+      table.for_each([&](const FiveTuple& key, const u64& value) {
+        ASSERT_NE(expected, model.order().end());
+        EXPECT_EQ(key, tuple(expected->first));
+        EXPECT_EQ(value, expected->second);
+        ++expected;
+        ++visited;
+      });
+      ASSERT_EQ(visited, model.size())
+          << "capacity " << capacity << " step " << step;
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Behavioural tests for every NF implementation (paper §6.1).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nfs/firewall.hpp"
 #include "nfs/ids.hpp"
 #include "nfs/l3_forwarder.hpp"
@@ -221,6 +223,40 @@ TEST_F(NfTest, NatRewritesFiveTupleConsistently) {
   pool_.release(p1);
   pool_.release(p2);
   pool_.release(p3);
+}
+
+TEST_F(NfTest, NatPortsStayInRangePastThePortSpace) {
+  // 50k flows pass the 65536 - 20000 ports above the base: the allocator
+  // must wrap to the base and never hand out 0 (the "unassigned" marker,
+  // which would give the flow a new port on its next packet).
+  constexpr u16 kPortBase = 20000;
+  constexpr std::size_t kFlows = 50'000;
+  Nat nat(0xC0A80001, kPortBase);
+  std::vector<u16> first(kFlows);
+  std::size_t out_of_range = 0;
+  std::size_t changed = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t f = 0; f < kFlows; ++f) {
+      PacketSpec spec;
+      spec.tuple.src_ip = 0x0A000000u + static_cast<u32>(f);
+      Packet* p = make(spec);
+      PacketView v(*p);
+      nat.process(v);
+      const u16 port = PacketView(*p).src_port();
+      pool_.release(p);
+      if (pass == 0) {
+        first[f] = port;
+        if (port < kPortBase) ++out_of_range;
+      } else if (port != first[f]) {
+        ++changed;
+      }
+    }
+  }
+  EXPECT_EQ(nat.binding_count(), kFlows);
+  EXPECT_EQ(out_of_range, 0u);
+  EXPECT_EQ(changed, 0u);
+  // Past the wrap the allocator restarts at the base.
+  EXPECT_EQ(first[65536 - kPortBase], kPortBase);
 }
 
 TEST_F(NfTest, CompressionShrinksRepetitivePayload) {

@@ -1,7 +1,14 @@
 // Tests for the LPM table and ACL matcher substrates.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <optional>
+#include <tuple>
+#include <utility>
+
 #include "acl/acl.hpp"
+#include "common/rng.hpp"
 #include "packet/headers.hpp"
 #include "lpm/lpm_table.hpp"
 
@@ -55,6 +62,55 @@ TEST(Lpm, SyntheticTableHasRequestedSizeAndDefault) {
   const LpmTable t = LpmTable::with_synthetic_routes(1000);
   EXPECT_GE(t.size(), 1000u);
   EXPECT_TRUE(t.lookup(0xDEADBEEF).has_value()) << "default route";
+}
+
+TEST(Lpm, DifferentialAgainstBruteForce) {
+  // Random inserts, replacements and removes under a few /16s, so prefixes
+  // of every length nest and share trie nodes, and removes shift the
+  // next-hop table's probe runs back; after each step the table must agree
+  // with a scan over the stored prefixes.
+  Rng rng(0x1F7);
+  LpmTable table;
+  std::map<std::pair<unsigned, u32>, u32> model;  // (len, prefix) -> hop
+  const auto prefix_of = [](u32 addr, unsigned len) {
+    return len == 0 ? 0u : addr & (0xFFFFFFFFu << (32 - len));
+  };
+  const auto random_addr = [&rng] {
+    return 0x0A000000u | (static_cast<u32>(rng.bounded(4)) << 16) |
+           static_cast<u32>(rng.bounded(65'536));
+  };
+  for (int step = 0; step < 4'000; ++step) {
+    unsigned len = static_cast<unsigned>(rng.bounded(33));
+    u32 prefix = prefix_of(random_addr(), len);
+    if (rng.bounded(3) == 0) {
+      if (rng.bounded(2) == 0 && !model.empty()) {  // else likely absent
+        auto victim = model.begin();
+        std::advance(victim, static_cast<long>(rng.bounded(model.size())));
+        std::tie(len, prefix) = victim->first;
+      }
+      const bool existed = model.erase({len, prefix}) > 0;
+      ASSERT_EQ(table.remove(prefix, static_cast<u8>(len)), existed)
+          << "step " << step;
+    } else {
+      const u32 hop = static_cast<u32>(rng.bounded(1'000));
+      table.insert(prefix, static_cast<u8>(len), hop);
+      model[{len, prefix}] = hop;
+    }
+    ASSERT_EQ(table.size(), model.size()) << "step " << step;
+    for (int q = 0; q < 8; ++q) {
+      const u32 addr = random_addr();
+      u64 lengths = 0;
+      std::optional<u32> best;
+      for (unsigned l = 0; l <= 32; ++l) {
+        const auto it = model.find({l, prefix_of(addr, l)});
+        if (it == model.end()) continue;
+        lengths |= u64{1} << l;
+        best = it->second;
+      }
+      ASSERT_EQ(table.match_length_mask(addr), lengths) << "step " << step;
+      ASSERT_EQ(table.lookup(addr), best) << "step " << step;
+    }
+  }
 }
 
 TEST(Acl, FirstMatchWins) {

@@ -3,10 +3,7 @@
 // Unlike the figure benches (simulated time), this bench measures the
 // actual concurrent hot path on this host: burst ring I/O, per-thread
 // magazine caches over the lock-free pool, precomputed fanout plans and
-// the sharded merge table. The `perpacket` series runs the same pipeline
-// in per_packet_compat mode — burst 1, no magazines, every pool operation
-// behind one global mutex — which reproduces the pre-batching path and is
-// the baseline the batched series are judged against.
+// the sharded merge table, at burst 32 and 64.
 //
 // Shapes:
 //   seq4   monitor>lb>monitor>lb sequential chain (no merger on the path)
@@ -171,30 +168,11 @@ int main(int argc, char** argv) {
                           {"tree", make_tree}};
   const std::size_t bursts[] = {32, 64};
 
-  bench::print_header(
-      "Live hot-path throughput (wall clock, batched vs per-packet)");
-  std::printf("%-16s %12s %10s %10s %10s   %s\n", "series", "pps", "seconds",
-              "refills", "flushes", "speedup vs perpacket");
+  bench::print_header("Live hot-path throughput (wall clock, batched)");
+  std::printf("%-16s %12s %10s %10s %10s\n", "series", "pps", "seconds",
+              "refills", "flushes");
 
   for (const Shape& shape : shapes) {
-    LivePipelineOptions compat;
-    compat.per_packet_compat = true;
-    const RunResult base = run_series(shape, frames, compat);
-    std::printf("%-16s %12.0f %10.3f %10s %10s   %s\n",
-                (std::string(shape.name) + "/perpacket").c_str(), base.pps,
-                base.seconds, "-", "-", "1.00x");
-    if (json) {
-      std::printf(
-          "{\"bench\":\"hotpath_throughput\",\"series\":\"%s/perpacket\","
-          "\"meta\":{\"bench\":\"hotpath_throughput\",\"timestamp\":\"%s\","
-          "\"knobs\":{\"shape\":\"%s\",\"mode\":\"perpacket\",\"burst\":1,"
-          "\"magazine\":0,\"packets\":%zu}},"
-          "\"pps\":%.1f,\"packets\":%llu,\"seconds\":%.4f}\n",
-          shape.name, bench::iso8601_utc_now().c_str(), shape.name, packets,
-          base.pps, static_cast<unsigned long long>(base.delivered),
-          base.seconds);
-    }
-
     for (const std::size_t burst : bursts) {
       LivePipelineOptions opts;
       opts.burst_size = burst;
@@ -202,24 +180,22 @@ int main(int argc, char** argv) {
       opts.ring_depth = 1024;
       opts.in_flight_window = 512;
       const RunResult r = run_series(shape, frames, opts);
-      const double speedup = base.pps > 0 ? r.pps / base.pps : 0;
-      std::printf("%-16s %12.0f %10.3f %10llu %10llu   %.2fx\n",
+      std::printf("%-16s %12.0f %10.3f %10llu %10llu\n",
                   (std::string(shape.name) + "/burst" + std::to_string(burst))
                       .c_str(),
                   r.pps, r.seconds,
                   static_cast<unsigned long long>(r.refills),
-                  static_cast<unsigned long long>(r.flushes), speedup);
+                  static_cast<unsigned long long>(r.flushes));
       if (json) {
         std::printf(
             "{\"bench\":\"hotpath_throughput\",\"series\":\"%s/burst%zu\","
             "\"meta\":{\"bench\":\"hotpath_throughput\",\"timestamp\":\"%s\","
             "\"knobs\":{\"shape\":\"%s\",\"mode\":\"batched\",\"burst\":%zu,"
             "\"magazine\":256,\"packets\":%zu}},"
-            "\"pps\":%.1f,\"packets\":%llu,\"seconds\":%.4f,"
-            "\"speedup_vs_perpacket\":%.3f}\n",
+            "\"pps\":%.1f,\"packets\":%llu,\"seconds\":%.4f}\n",
             shape.name, burst, bench::iso8601_utc_now().c_str(), shape.name,
             burst, packets, r.pps,
-            static_cast<unsigned long long>(r.delivered), r.seconds, speedup);
+            static_cast<unsigned long long>(r.delivered), r.seconds);
       }
     }
 
@@ -255,12 +231,11 @@ int main(int argc, char** argv) {
                    {"burst32-noacct", "batched-noacct", &best_off}};
       for (const auto& side : sides) {
         const RunResult& r = *side.r;
-        const double speedup = base.pps > 0 ? r.pps / base.pps : 0;
-        std::printf("%-16s %12.0f %10.3f %10llu %10llu   %.2fx\n",
+        std::printf("%-16s %12.0f %10.3f %10llu %10llu\n",
                     (std::string(shape.name) + "/" + side.suffix).c_str(),
                     r.pps, r.seconds,
                     static_cast<unsigned long long>(r.refills),
-                    static_cast<unsigned long long>(r.flushes), speedup);
+                    static_cast<unsigned long long>(r.flushes));
         if (json) {
           std::printf(
               "{\"bench\":\"hotpath_throughput\","
@@ -270,12 +245,10 @@ int main(int argc, char** argv) {
               "\"knobs\":{\"shape\":\"%s\",\"mode\":\"%s\","
               "\"burst\":32,\"magazine\":256,\"packets\":%zu,"
               "\"reps\":3,\"reduce\":\"max\"}},"
-              "\"pps\":%.1f,\"packets\":%llu,\"seconds\":%.4f,"
-              "\"speedup_vs_perpacket\":%.3f}\n",
+              "\"pps\":%.1f,\"packets\":%llu,\"seconds\":%.4f}\n",
               shape.name, side.suffix, bench::iso8601_utc_now().c_str(),
               shape.name, side.mode, packets, r.pps,
-              static_cast<unsigned long long>(r.delivered), r.seconds,
-              speedup);
+              static_cast<unsigned long long>(r.delivered), r.seconds);
         }
       }
     }
@@ -312,12 +285,11 @@ int main(int argc, char** argv) {
                    {"lat32-noacct", "latency-off", &best_off}};
       for (const auto& side : sides) {
         const RunResult& r = *side.r;
-        const double speedup = base.pps > 0 ? r.pps / base.pps : 0;
-        std::printf("%-16s %12.0f %10.3f %10llu %10llu   %.2fx\n",
+        std::printf("%-16s %12.0f %10.3f %10llu %10llu\n",
                     (std::string(shape.name) + "/" + side.suffix).c_str(),
                     r.pps, r.seconds,
                     static_cast<unsigned long long>(r.refills),
-                    static_cast<unsigned long long>(r.flushes), speedup);
+                    static_cast<unsigned long long>(r.flushes));
         if (json) {
           std::printf(
               "{\"bench\":\"hotpath_throughput\","
@@ -327,12 +299,10 @@ int main(int argc, char** argv) {
               "\"knobs\":{\"shape\":\"%s\",\"mode\":\"%s\","
               "\"burst\":32,\"magazine\":256,\"packets\":%zu,"
               "\"lat_every\":64,\"reps\":3,\"reduce\":\"max\"}},"
-              "\"pps\":%.1f,\"packets\":%llu,\"seconds\":%.4f,"
-              "\"speedup_vs_perpacket\":%.3f}\n",
+              "\"pps\":%.1f,\"packets\":%llu,\"seconds\":%.4f}\n",
               shape.name, side.suffix, bench::iso8601_utc_now().c_str(),
               shape.name, side.mode, packets, r.pps,
-              static_cast<unsigned long long>(r.delivered), r.seconds,
-              speedup);
+              static_cast<unsigned long long>(r.delivered), r.seconds);
         }
       }
     }
@@ -382,9 +352,9 @@ int main(int argc, char** argv) {
       for (int rep = 0; rep < kFlowReps; ++rep) {
         if (side.reps[rep].pps > best.pps) best = side.reps[rep];
       }
-      std::printf("%-16s %12.0f %10.3f %10s %10s   %s\n",
+      std::printf("%-16s %12.0f %10.3f %10s %10s\n",
                   (std::string("sharded/") + side.suffix).c_str(), best.pps,
-                  best.seconds, "-", "-", "-");
+                  best.seconds, "-", "-");
       if (json) {
         for (int rep = 0; rep < kFlowReps; ++rep) {
           const RunResult& r = side.reps[rep];

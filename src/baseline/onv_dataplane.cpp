@@ -107,9 +107,7 @@ void OnvDataplane::run_nf(std::size_t idx, Packet* pkt, SimTime ready) {
   trace(pkt->meta().pid(), telemetry::SpanKind::kNfEnter, ready,
         inst.component.c_str());
 
-  PacketView view(*pkt);
-  NfVerdict verdict = NfVerdict::kPass;
-  if (view.valid()) verdict = inst.impl->process(view);
+  const NfVerdict verdict = process_packet(*inst.impl, *pkt);
 
   const SimTime free = inst.core.execute(ready, deq.occ + nf_cost.occ);
   const SimTime done = inst.out.stamp(free + deq.delay + nf_cost.delay);

@@ -108,10 +108,7 @@ void RtcDataplane::run_chain(std::size_t replica_idx, Packet* pkt,
       nf_occ.emplace_back(i, nf_cost.occ + config_.costs.rtc_call_ns);
     }
     m_service_[i]->record(static_cast<u64>(nf_cost.occ));
-    PacketView view(*pkt);
-    if (view.valid() && verdict == NfVerdict::kPass) {
-      verdict = replica.nfs[i]->process(view);
-    }
+    verdict = process_packet(*replica.nfs[i], *pkt);
     if (verdict == NfVerdict::kDrop) break;
   }
   occ += config_.costs.rtc_tx.occ;

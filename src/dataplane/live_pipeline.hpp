@@ -2,13 +2,14 @@
 //
 // The simulated-time dataplane (NfpDataplane) is the measurement vehicle;
 // this pipeline is the concurrency proof: the same compiled service graphs
-// run on actual std::threads connected by the lock-free SPSC rings of
-// src/ring — one thread per NF (the paper's one-container-per-core), a
-// classifier thread and a merger thread — with packets really copied,
-// processed and merged under true parallelism.
+// run on real packets, really copied, processed and merged, in one of two
+// execution modes (ExecMode below). LivePipeline owns what both modes
+// share; the rest sits behind one internal interface (live_executor.hpp)
+// with one implementation per mode, and both use the segment kernel the
+// simulated plane runs (fanout_plan.hpp, merge_ops.hpp).
 //
-// The hot path is built on the DPDK idioms of the paper's infrastructure
-// layer (§5, Fig 3):
+// The pipelined hot path is built on the DPDK idioms of the paper's
+// infrastructure layer (§5, Fig 3):
 //   * burst ring I/O — packets move between threads in bursts with one
 //     index publish per burst (SpscRing::push_burst/pop_burst),
 //   * per-thread magazine caches over a lock-free packet pool — alloc,
@@ -20,20 +21,17 @@
 //     MergeTable per parallel segment with fixed-capacity arrival rows,
 //   * batched result delivery — completed outputs and drops are buffered
 //     thread-locally and the result lock is taken once per burst.
-// bench_hotpath_throughput measures the effect; `per_packet_compat` in the
-// options reproduces the old serialized per-packet path as its baseline.
+// bench_hotpath_throughput measures it.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/status.hpp"
@@ -42,14 +40,11 @@
 #include "nfs/nf.hpp"
 #include "packet/packet_magazine.hpp"
 #include "packet/packet_pool.hpp"
-#include "ring/spsc_ring.hpp"
 #include "telemetry/flow_observatory.hpp"
 #include "telemetry/latency_observatory.hpp"
 #include "telemetry/scalability_profiler.hpp"
 
 namespace nfp {
-
-class RtcExecutor;
 
 namespace telemetry {
 class HealthSampler;
@@ -61,7 +56,7 @@ class Watchdog;
 //               rings — the paper's one-container-per-core deployment and
 //               the mode every PR up to now ran exclusively;
 //   kRtc        fused run-to-completion — the caller's thread walks the
-//               graph inline per packet (RtcExecutor): sequential hops are
+//               graph inline per packet (rtc_executor.cpp): sequential hops are
 //               direct calls, parallel segments fused branch-sequences
 //               with an inline merge. No rings, no merger thread;
 //   kAuto       resolved per graph at construction: sequential graphs take
@@ -94,10 +89,6 @@ struct LivePipelineOptions {
   std::size_t in_flight_window = 0; // 0 => ring_depth / 4
   std::size_t magazine_size = 64;   // per-thread free-slot cache; 0 = none
   std::size_t burst_size = 32;      // ring burst granularity
-  // Reproduces the pre-batching hot path — burst 1, no magazines, every
-  // pool operation behind one global mutex — as the measurable baseline
-  // for bench_hotpath_throughput. Output-equivalent to the batched path.
-  bool per_packet_compat = false;
   // When >= 0, every pipeline thread (NFs + merger) pins itself to this
   // core via cpu_affinity — the sharded dataplane's shared-nothing
   // one-core-per-shard placement. Pin failures degrade to unpinned
@@ -115,8 +106,7 @@ struct LivePipelineOptions {
   // clock reads per NF hop (bench's lat32-acct/noacct pair gates the cost).
   std::size_t latency_sample_every = 0;
   // Execution mode (see ExecMode above). kAuto resolves at construction;
-  // exec_mode() reports the resolved choice. per_packet_compat forces
-  // kPipelined — compat exists to reproduce the old pipelined hot path.
+  // exec_mode() reports the resolved choice.
   ExecMode exec_mode = ExecMode::kPipelined;
 };
 
@@ -176,17 +166,6 @@ class LivePipeline {
   // The resolved execution mode (never kAuto after construction).
   ExecMode exec_mode() const noexcept { return opts_.exec_mode; }
 
-  // Health-instrumentation surface. Workers are indexed NFs-in-graph-order
-  // first, then the merger last; all reads are safe from a sampler thread
-  // while run() executes.
-  std::size_t worker_count() const;
-  std::string worker_name(std::size_t w) const;
-  // Steady-clock ns of the worker's last loop iteration; 0 until the worker
-  // starts. A worker wedged inside an NF's process() stops beating.
-  u64 worker_heartbeat_ns(std::size_t w) const;
-  u64 worker_packets(std::size_t w) const;
-  std::size_t ring_depth_in(std::size_t w) const;   // merger: 0
-  std::size_t ring_depth_out(std::size_t w) const;  // merger: 0
   // The pool this pipeline draws from (its own, or the caller's).
   std::size_t pool_in_use() const { return pool_.in_use(); }
   std::size_t pool_capacity() const { return pool_.capacity(); }
@@ -239,6 +218,10 @@ class LivePipeline {
   u64 feeder_wait_ns() const;
   // Registers ring/pool/heartbeat probes on `sampler` and stall / pool /
   // drop-spike rules on `watchdog` (null to skip). Call before run().
+  // Pipelined workers (every NF thread, then the merger) each get a
+  // heartbeat, a packet count and ring depths; a worker wedged inside an
+  // NF's process() stops beating. Rtc spawns no workers: the caller's own
+  // heartbeat covers the inline execution.
   // A non-empty `shard` tags every probe with a {"shard", ...} label and
   // prefixes watchdog component names so S shards coexist in one registry.
   // The pool's own probes (pool_in_use, pool_refcnt_underflow_total) and
@@ -249,57 +232,29 @@ class LivePipeline {
                        const std::string& shard = {});
 
  private:
-  // NF → merger hand-off. The drop intent travels out-of-band rather than
-  // on the packet's nil bit: parallel NFs sharing one packet version would
-  // otherwise race writing set_nil() on the same Packet (TSan-visible, and
-  // one sender's intent could clobber another's).
-  struct MergeEnvelope {
-    Packet* pkt = nullptr;
-    bool drop_intent = false;
-    // Latency spans for sampled packets (zero otherwise): parallel NFs
-    // report out-of-band for the same no-shared-packet-writes reason as
-    // drop_intent. out_ns is the push timestamp the merger subtracts to
-    // get merge-wait on the critical branch.
-    u64 queue_ns = 0;
-    u64 service_ns = 0;
-    u64 out_ns = 0;
-  };
+  class Executor;           // the mode-specific half: live_executor.hpp
+  class PipelinedExecutor;  // pipelined_executor.cpp
+  class RtcExecutor;        // rtc_executor.cpp
+  static std::unique_ptr<Executor> make_pipelined_executor(LivePipeline& owner);
+  static std::unique_ptr<Executor> make_rtc_executor(LivePipeline& owner);
 
-  struct LiveNf {
+  struct Nf {
     StageNf meta;
     std::unique_ptr<NetworkFunction> impl;
-    // Inbound ring; owned here, fed by the classifier/merger thread.
-    std::unique_ptr<SpscRing<Packet*>> in;
-    // Outbound ring to the merger; unused on sequential hops.
-    std::unique_ptr<SpscRing<MergeEnvelope>> out;
-    std::thread thread;
-    // Heap-allocated: LiveNf is moved into segments_ and atomics can't move.
-    std::unique_ptr<std::atomic<u64>> heartbeat_ns;
-    std::unique_ptr<std::atomic<u64>> processed;
-    // Thread-private cycle buckets; null when cycle_accounting is off.
-    std::unique_ptr<telemetry::CycleCounters> cycles;
-    // Thread-private stage-latency histograms; null when
-    // latency_sample_every is 0.
-    std::unique_ptr<telemetry::StageLatencyBlock> lat_block;
   };
 
-  // Builds a thread's magazine wired to this pipeline's counters (and the
-  // compat mutex in per-packet mode).
+  // A magazine over pool_ for the calling thread, wired to the pipeline's
+  // refill/flush counters.
   PacketMagazine make_magazine();
 
   // Applies opts_.pin_core to the calling pipeline thread, keeping the
   // attempt/success tally behind affinity_applied().
   void maybe_pin_current_thread();
 
-  void nf_loop(std::size_t seg_idx, std::size_t nf_idx);
-  void merger_loop();
-  // Distributes a packet into segment `seg_idx` using the caller's
-  // magazine; returns false on pool exhaustion (fanout copies already made
-  // are released; `pkt` itself stays with the caller, which records the
-  // drop reason and releases it). Contended ring pushes are credited to
-  // the caller's accountant as ring_wait (null to skip).
-  bool enter_segment(std::size_t seg_idx, Packet* pkt, PacketMagazine& mag,
-                     telemetry::CycleAccountant* acct);
+  // Stamps a packet feed() or feed_packet() admitted (pid; for a sampled
+  // packet the ingest span and the first queue mark) and hands it to the
+  // executor.
+  bool enter(Packet* pkt);
 
   // Tags one dropped packet with its reason (relaxed counter) and samples
   // it into the exemplar ring when one is attached. Cold path by
@@ -307,26 +262,21 @@ class LivePipeline {
   void note_drop(telemetry::DropReason reason, const char* stage,
                  const FlowRef* flow);
 
-  // Flushes a thread-local result batch under one result_mu_ acquisition
-  // and retires the completed packets from the in-flight window.
-  void commit_batch(std::vector<std::vector<u8>>& outputs, u64 drops,
-                    u64 completed);
-
+  // Telescoping marks of a sampled packet whose stamps this thread owns:
+  // open_service closes the queue span (mark -> now) and opens the service
+  // span, close_service closes it. No-ops for unsampled packets.
+  static void open_service(Packet& pkt);
+  static void close_service(Packet& pkt);
+  // The stamped sequential hop: open_service, process, close_service.
+  static NfVerdict run_hop(NetworkFunction& nf, Packet& pkt);
   // Records all six stage spans for a sampled packet into `block` at
-  // delivery time `now` (egress = saturating remainder, so the stages
+  // delivery, its last mark (egress = saturating remainder, so the stages
   // telescope to total by construction). No-op when origin_ns == 0.
   static void finalize_latency(const Packet& pkt,
-                               telemetry::StageLatencyBlock* block, u64 now);
-
-  // Resolves a worker index to its LiveNf, or nullptr for the merger slot.
-  const LiveNf* worker_nf(std::size_t w) const;
-
-  // Pipelined feed: blocks while the in-flight window is full, crediting
-  // the wait to the feeder's ring_wait bucket.
-  void wait_for_window();
-  // Pipelined feed, once running and the window has room: stamps `pkt`
-  // and distributes it into segment 0 (a counted drop when that fails).
-  bool enter_graph(Packet* pkt);
+                               telemetry::StageLatencyBlock* block);
+  // Adds `block`'s stage histograms into `snap` (null: nothing).
+  static void fold_latency(telemetry::ShardLatencySnapshot& snap,
+                           const telemetry::StageLatencyBlock* block);
 
   ServiceGraph graph_;
   LivePipelineOptions opts_;
@@ -334,35 +284,16 @@ class LivePipeline {
   // use either way.
   std::unique_ptr<PacketPool> own_pool_;
   PacketPool& pool_;
-  // Set when the resolved mode is kRtc: the fused executor replaces the
-  // thread/ring machinery below wholesale (segments_ stays empty, no
-  // threads spawn) and every lifecycle/telemetry call delegates to it. The
-  // pool and magazine counters are shared, so health probes read the same
-  // cells in both modes.
-  std::unique_ptr<RtcExecutor> rtc_;
-  std::vector<std::vector<LiveNf>> segments_;
-  std::vector<FanoutPlan> fanout_;
-  std::thread merger_thread_;
-  std::atomic<u64> merger_heartbeat_ns_{0};
-  std::atomic<u64> merger_merges_{0};
-  // Merger / feed-side accounting blocks; null when accounting is off.
-  std::unique_ptr<telemetry::CycleCounters> merger_cycles_;
-  std::unique_ptr<telemetry::CycleCounters> feeder_cycles_;
-  // Merger-thread stage-latency block (the merger finalizes every sampled
-  // packet that exits through a parallel segment); null when sampling off.
-  std::unique_ptr<telemetry::StageLatencyBlock> merger_lat_block_;
-  // Backoff::pause calls spent in feed()'s window/alloc waits.
-  std::atomic<u64> feeder_spin_total_{0};
+  std::vector<std::vector<Nf>> nfs_;  // [segment][nf], instance ids set
+  std::vector<FanoutPlan> fanout_;    // [segment]
 
   // Aggregated magazine traffic across all pipeline threads.
   std::atomic<u64> mag_refill_total_{0};
   std::atomic<u64> mag_flush_total_{0};
-  // Serializes pool access in per_packet_compat mode only.
-  std::mutex compat_mu_;
 
   // Streaming lifecycle: kNew --start()--> kRunning --drain()--> kFinished.
-  // The CAS in start() is what turns the documented run-once contract into
-  // an enforced one.
+  // The CASes in start() and drain() are what turn the documented run-once
+  // contract into an enforced one.
   enum class RunState : int { kNew = 0, kRunning = 1, kFinished = 2 };
   std::atomic<RunState> state_{RunState::kNew};
   // Ingest-thread state; feed() is single-threaded by contract, so these
@@ -373,15 +304,14 @@ class LivePipeline {
   std::atomic<u64> affinity_attempts_{0};
   std::atomic<u64> affinity_ok_{0};
 
-  std::atomic<bool> stop_{false};
-  std::atomic<u64> in_flight_{0};
-  std::mutex result_mu_;
-  LiveResult result_;
-
   // Drop-reason taxonomy: one relaxed counter per reason (any pipeline
   // thread may drop) plus the optional shared exemplar ring.
   std::array<std::atomic<u64>, telemetry::kDropReasonCount> drop_reasons_{};
   telemetry::DropExemplarRing* drop_exemplars_ = nullptr;
+
+  // Last member: destroyed first, so pipelined workers are joined while
+  // the state above is still alive.
+  std::unique_ptr<Executor> exec_;
 };
 
 }  // namespace nfp

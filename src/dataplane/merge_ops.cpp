@@ -1,25 +1,44 @@
 #include "dataplane/merge_ops.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "packet/packet_view.hpp"
 
 namespace nfp {
 
-Packet* apply_merge_operations(
-    const Segment& seg, const std::vector<std::pair<Packet*, u8>>& arrivals) {
-  Packet* base = nullptr;
-  std::vector<Packet*> by_version(
-      static_cast<std::size_t>(seg.num_versions) + 1, nullptr);
-  for (const auto& [pkt, version] : arrivals) {
-    if (version <= seg.num_versions) by_version[version] = pkt;
-    if (version == 1) base = pkt;
+namespace {
+
+// One packet's arrivals indexed by version, bounded by the segment's
+// version count and the metadata word's 4 version bits.
+class ByVersion {
+ public:
+  explicit ByVersion(const Segment& seg)
+      : top_(std::min<std::size_t>(seg.num_versions, Metadata::kMaxVersion)) {}
+
+  void add(Packet* pkt, u8 version) noexcept {
+    if (version <= top_) pkt_[version] = pkt;
+    if (version == 1) base_ = pkt;
   }
+  Packet* base() const noexcept { return base_; }
+  Packet* get(u8 version) const noexcept {
+    return version <= top_ ? pkt_[version] : nullptr;
+  }
+
+ private:
+  std::size_t top_;
+  std::array<Packet*, Metadata::kMaxVersion + 1> pkt_{};
+  Packet* base_ = nullptr;
+};
+
+Packet* apply_ops(const Segment& seg, const ByVersion& by_version) {
+  Packet* base = by_version.base();
   if (base == nullptr) return nullptr;
 
   PacketView base_view(*base);
   for (const MergeOp& op : seg.merge.ops) {
-    Packet* src = by_version[op.src_version];
+    Packet* src = by_version.get(op.src_version);
     if (src == nullptr) continue;
     PacketView src_view(*src);
     if (!src_view.valid() || !base_view.valid()) continue;
@@ -63,6 +82,36 @@ Packet* apply_merge_operations(
     }
   }
   return base;
+}
+
+}  // namespace
+
+Packet* merge_segment(const Segment& seg,
+                      std::span<const MergeArrival> arrivals) {
+  bool dropped = false;
+  if (seg.merge.drop_resolution == DropResolution::kAnyDrop) {
+    for (const MergeArrival& a : arrivals) dropped |= a.drop_intent;
+  } else {
+    i32 best = -1;
+    for (const MergeArrival& a : arrivals) {
+      if (a.can_drop && a.priority > best) {
+        best = a.priority;
+        dropped = a.drop_intent;
+      }
+    }
+  }
+  if (dropped) return nullptr;
+
+  ByVersion by_version(seg);
+  for (const MergeArrival& a : arrivals) by_version.add(a.pkt, a.version);
+  return apply_ops(seg, by_version);
+}
+
+Packet* apply_merge_operations(
+    const Segment& seg, const std::vector<std::pair<Packet*, u8>>& arrivals) {
+  ByVersion by_version(seg);
+  for (const auto& [pkt, version] : arrivals) by_version.add(pkt, version);
+  return apply_ops(seg, by_version);
 }
 
 }  // namespace nfp

@@ -1,11 +1,9 @@
 #include "dataplane/nfp_dataplane.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 #include "common/logging.hpp"
-#include "dataplane/merge_ops.hpp"
 #include "packet/packet_view.hpp"
 
 namespace nfp {
@@ -66,6 +64,7 @@ NfpDataplane::NfpDataplane(sim::Simulator& sim,
         instances.push_back(std::move(inst));
       }
       runtime.segments.push_back(std::move(instances));
+      runtime.fanout.push_back(build_fanout_plan(seg));
     }
     graphs_.push_back(std::move(runtime));
   }
@@ -228,77 +227,59 @@ void NfpDataplane::enter_segment(std::size_t g, std::size_t seg_idx,
     return;
   }
 
-  // Create the packet copies for versions 2..num_versions on the entry core
-  // (paper §5.2 `copy` action; memory comes from the pre-allocated pool).
-  std::vector<Packet*> version_pkt(
-      static_cast<std::size_t>(seg.num_versions) + 1, nullptr);
+  // Create the packet copies on the entry core (paper §5.2 `copy` action;
+  // memory comes from the pre-allocated pool), one reference per consumer.
+  // Each copy occupies the entry core as it is made, so a pool that runs
+  // dry mid-fanout still bills the copies before it.
+  const FanoutPlan& plan = runtime.fanout[seg_idx];
+  VersionPackets version_pkt{};
   version_pkt[1] = pkt;
   SimTime free = t;
   SimTime copy_delay = 0;
-  for (u8 v = 2; v <= seg.num_versions; ++v) {
-    const bool full = seg.version_needs_full_copy(v);
-    Packet* copy =
-        full ? pool_->clone_full(*pkt) : pool_->clone_header_only(*pkt);
-    if (copy == nullptr) {
-      ++stats_.dropped_pool;
-      m_dropped_pool_->inc();
-      if (!warned_pool_exhausted_) {
-        warned_pool_exhausted_ = true;
-        log_warn("packet pool exhausted (", pool_->capacity(),
-                 " packets); dropping packet and its copies — further "
-                 "exhaustion drops are counted silently");
-      }
-      flight_.note(telemetry::Severity::kCritical, sim_.now(), "pool",
-                   "exhausted at " + std::to_string(pool_->capacity()) +
-                       " packets; copy dropped (total pool drops: " +
-                       std::to_string(stats_.dropped_pool) + ")");
-      trace(pkt->meta().pid(), telemetry::SpanKind::kDrop, sim_.now(), "pool");
-      for (u8 w = 2; w < v; ++w) pool_->release(version_pkt[w]);
-      pool_->release(pkt);
-      return;
-    }
-    copy->meta().set_version(v);
-    version_pkt[v] = copy;
+  const auto charge = [&](const FanoutPlan::Copy& c, const Packet& copy) {
     SimTime occ = config_.costs.copy_header.occ;
-    if (full) {
+    if (c.full) {
       ++stats_.copies_full;
       m_copies_full_->inc();
       occ += static_cast<SimTime>(config_.costs.copy_full_per_byte_occ *
-                                  static_cast<double>(copy->length()));
+                                  static_cast<double>(copy.length()));
     } else {
       ++stats_.copies_header;
       m_copies_header_->inc();
     }
-    stats_.copy_bytes += copy->length();
-    m_copy_bytes_->inc(copy->length());
+    stats_.copy_bytes += copy.length();
+    m_copy_bytes_->inc(copy.length());
     free = entry_core->execute(free, occ);
     copy_delay += config_.costs.copy_header.delay;
     // Stamped at free + carry_delay so copy spans never sort before the
     // upstream nf-exit span (which includes its carried latency).
     trace(pkt->meta().pid(), telemetry::SpanKind::kCopy, free + carry_delay,
-          full ? "copy-full" : "copy-header", v);
+          c.full ? "copy-full" : "copy-header", c.version);
+  };
+  if (!fan_out(plan, version_pkt, *pool_, /*consumer_refs=*/true, charge)) {
+    ++stats_.dropped_pool;
+    m_dropped_pool_->inc();
+    if (!warned_pool_exhausted_) {
+      warned_pool_exhausted_ = true;
+      log_warn("packet pool exhausted (", pool_->capacity(),
+               " packets); dropping packet and its copies — further "
+               "exhaustion drops are counted silently");
+    }
+    flight_.note(telemetry::Severity::kCritical, sim_.now(), "pool",
+                 "exhausted at " + std::to_string(pool_->capacity()) +
+                     " packets; copy dropped (total pool drops: " +
+                     std::to_string(stats_.dropped_pool) + ")");
+    trace(pkt->meta().pid(), telemetry::SpanKind::kDrop, sim_.now(), "pool");
+    pool_->release(pkt);
+    return;
   }
   m_pool_in_use_->set(static_cast<double>(pool_->in_use()));
-
-  // Reference counting: each version is consumed by every NF on it.
-  for (u8 v = 1; v <= seg.num_versions; ++v) {
-    const auto consumers = static_cast<std::size_t>(std::count_if(
-        seg.nfs.begin(), seg.nfs.end(),
-        [v](const StageNf& nf) { return nf.version == v; }));
-    if (consumers == 0) {
-      if (v > 1) pool_->release(version_pkt[v]);  // defensive: unused version
-      continue;
-    }
-    for (std::size_t extra = 1; extra < consumers; ++extra) {
-      pool_->add_ref(version_pkt[v]);
-    }
-  }
 
   // Distributed delivery: one reference write per target NF.
   const SimTime handoff_delay =
       carry_delay + copy_delay + config_.costs.ring_enqueue.delay;
   for (std::size_t k = 0; k < instances.size(); ++k) {
-    Packet* version = version_pkt[seg.nfs[k].version];
+    Packet* version = version_pkt[plan.nf_version[k]];
     free = entry_core->execute(free, config_.costs.ring_enqueue.occ);
     const SimTime handoff = channel->stamp(free + handoff_delay);
     sim_.schedule_at(handoff, [this, g, seg_idx, k, version, handoff] {
@@ -322,11 +303,7 @@ void NfpDataplane::run_nf(std::size_t g, std::size_t seg_idx,
         pkt->meta().version());
 
   // Real packet processing.
-  PacketView view(*pkt);
-  NfVerdict verdict = NfVerdict::kPass;
-  if (view.valid()) {
-    verdict = inst.impl->process(view);
-  }
+  const NfVerdict verdict = process_packet(*inst.impl, *pkt);
 
   const SimTime free = inst.core.execute(ready, deq.occ + nf_cost.occ);
   const SimTime latency = deq.delay + nf_cost.delay;
@@ -355,37 +332,36 @@ void NfpDataplane::run_nf(std::size_t g, std::size_t seg_idx,
   }
 
   // Parallel stage: forward to the merger (nil packets signal drops, §5.2).
-  MergeItem item;
-  item.pkt = pkt;
-  item.version = inst.meta.version;
-  item.drop_intent = verdict == NfVerdict::kDrop;
-  item.priority = inst.meta.priority;
-  item.can_drop = inst.meta.can_drop;
-  item.sender = &inst.component;
+  const MergeArrival item{pkt, inst.meta.priority, inst.meta.version,
+                          inst.meta.can_drop, verdict == NfVerdict::kDrop};
+  const std::string* sender = &inst.component;
   const SimTime enq_free =
       inst.core.execute(free, config_.costs.ring_enqueue.occ);
   const SimTime handoff = inst.out.stamp(enq_free + latency +
                                          config_.costs.ring_enqueue.delay);
-  sim_.schedule_at(handoff, [this, g, seg_idx, item, handoff] {
-    to_merger(g, seg_idx, item, handoff);
+  sim_.schedule_at(handoff, [this, g, seg_idx, item, sender, handoff] {
+    to_merger(g, seg_idx, item, sender, handoff);
   });
 }
 
 void NfpDataplane::to_merger(std::size_t g, std::size_t seg_idx,
-                             MergeItem item, SimTime t) {
+                             MergeArrival item, const std::string* sender,
+                             SimTime t) {
   // Merger agent: hash the immutable PID and steer to an instance (§5.3).
   const SimTime free = agent_core_.execute(t, config_.costs.merger_agent.occ);
   const std::size_t instance = static_cast<std::size_t>(
       mix64(item.pkt->meta().pid()) % merger_cores_.size());
   const SimTime handoff = free + config_.costs.merger_agent.delay;
-  sim_.schedule_at(handoff, [this, g, seg_idx, instance, item, handoff] {
-    merger_arrival(g, seg_idx, instance, item, handoff);
-  });
+  sim_.schedule_at(handoff,
+                   [this, g, seg_idx, instance, item, sender, handoff] {
+                     merger_arrival(g, seg_idx, instance, item, sender,
+                                    handoff);
+                   });
 }
 
 void NfpDataplane::merger_arrival(std::size_t g, std::size_t seg_idx,
-                                  std::size_t instance, MergeItem item,
-                                  SimTime t) {
+                                  std::size_t instance, MergeArrival item,
+                                  const std::string* sender, SimTime t) {
   const Segment& seg = graphs_[g].graph.segments()[seg_idx];
   const SimTime free =
       merger_cores_[instance].execute(t, config_.costs.merge_arrival.occ);
@@ -394,58 +370,26 @@ void NfpDataplane::merger_arrival(std::size_t g, std::size_t seg_idx,
   if (tracer_ != nullptr && tracer_->sampled(pid)) {
     // The arrival span carries the *sender* NF's component so the profiler
     // can pair each parallel branch's arrival with its enter/exit spans.
-    tracer_->record(pid, telemetry::SpanKind::kMergerArrival, free,
-                    item.sender != nullptr
-                        ? *item.sender
-                        : "merger#" + std::to_string(instance),
+    tracer_->record(pid, telemetry::SpanKind::kMergerArrival, free, *sender,
                     item.version);
   }
   const AtKey key{g, seg_idx, pid};
-  MergeState& state = at_[instance][key];
-  state.items.push_back(item);
+  std::vector<MergeArrival>& arrivals = at_[instance][key];
+  arrivals.push_back(item);
   m_at_entries_[instance]->set(static_cast<double>(at_[instance].size()));
-  if (state.items.size() < seg.merge.total_count) return;
+  if (arrivals.size() < seg.merge.total_count) return;
 
-  MergeState complete = std::move(state);
+  std::vector<MergeArrival> complete = std::move(arrivals);
   at_[instance].erase(key);
   complete_merge(g, seg_idx, instance, std::move(complete),
                  free + config_.costs.merge_arrival.delay);
 }
 
-void NfpDataplane::drop_all(MergeState& state) {
-  for (const MergeItem& item : state.items) pool_->release(item.pkt);
-  state.items.clear();
-}
-
-Packet* NfpDataplane::apply_merge_ops(const Segment& seg, MergeState& state) {
-  std::vector<std::pair<Packet*, u8>> arrivals;
-  arrivals.reserve(state.items.size());
-  for (const MergeItem& item : state.items) {
-    arrivals.emplace_back(item.pkt, item.version);
-  }
-  return apply_merge_operations(seg, arrivals);
-}
-
 void NfpDataplane::complete_merge(std::size_t g, std::size_t seg_idx,
-                                  std::size_t instance, MergeState state,
+                                  std::size_t instance,
+                                  std::vector<MergeArrival> arrivals,
                                   SimTime t) {
   const Segment& seg = graphs_[g].graph.segments()[seg_idx];
-
-  // Drop resolution (§5.2/§5.3 nil packets; DESIGN.md).
-  bool dropped = false;
-  if (seg.merge.drop_resolution == DropResolution::kAnyDrop) {
-    dropped = std::any_of(state.items.begin(), state.items.end(),
-                          [](const MergeItem& i) { return i.drop_intent; });
-  } else {
-    int best_priority = -1;
-    for (const MergeItem& item : state.items) {
-      if (item.can_drop && item.priority > best_priority) {
-        best_priority = item.priority;
-        dropped = item.drop_intent;
-      }
-    }
-  }
-
   const SimTime ops_occ = config_.costs.merge_per_op_ns * seg.merge.ops.size();
   const SimTime free = merger_cores_[instance].execute(
       t, config_.costs.merge_final.occ + ops_occ);
@@ -454,35 +398,22 @@ void NfpDataplane::complete_merge(std::size_t g, std::size_t seg_idx,
       config_.costs.merge_per_arrival_delay_ns * seg.merge.total_count;
   ++stats_.merges;
   m_merges_->inc();
-  const u64 pid =
-      state.items.empty() ? 0 : state.items.front().pkt->meta().pid();
+  const u64 pid = arrivals.empty() ? 0 : arrivals.front().pkt->meta().pid();
   if (tracer_ != nullptr && tracer_->sampled(pid)) {
     tracer_->record(pid, telemetry::SpanKind::kMergeComplete, free,
                     "merger#" + std::to_string(instance));
   }
 
-  if (dropped) {
+  // Drop resolution and merge operations (§5.2/§5.3 nil packets;
+  // DESIGN.md), then every reference except one to the output packet goes.
+  Packet* merged = merge_segment(seg, arrivals);
+  release_arrivals(arrivals, merged, *pool_);
+  if (merged == nullptr) {
     ++stats_.dropped_by_nf;
     m_dropped_nf_->inc();
     trace(pid, telemetry::SpanKind::kDrop, free, "merger-drop-resolution");
     log_debug("merger resolved drop for pid=", pid);
-    drop_all(state);
     return;
-  }
-
-  Packet* merged = apply_merge_ops(seg, state);
-  if (merged == nullptr) {
-    drop_all(state);
-    return;
-  }
-  // Release every reference except one to the output packet.
-  bool kept_one = false;
-  for (const MergeItem& item : state.items) {
-    if (item.pkt == merged && !kept_one) {
-      kept_one = true;
-      continue;
-    }
-    pool_->release(item.pkt);
   }
 
   leave_segment(g, seg_idx, merged, free, &merger_cores_[instance], latency,

@@ -25,6 +25,8 @@
 #include <vector>
 
 #include "common/hash.hpp"
+#include "dataplane/fanout_plan.hpp"
+#include "dataplane/merge_ops.hpp"
 #include "graph/service_graph.hpp"
 #include "nfs/nf.hpp"
 #include "packet/packet_pool.hpp"
@@ -144,22 +146,7 @@ class NfpDataplane {
   struct GraphRuntime {
     ServiceGraph graph;
     std::vector<std::vector<NfInstance>> segments;  // [segment][nf]
-  };
-
-  struct MergeItem {
-    Packet* pkt = nullptr;
-    u8 version = 1;
-    bool drop_intent = false;
-    int priority = 0;
-    bool can_drop = false;
-    // Which NF instance produced this arrival (stable component label owned
-    // by the NfInstance); merger-arrival spans carry it so the profiler can
-    // pair each branch's arrival with its nf-enter/nf-exit.
-    const std::string* sender = nullptr;
-  };
-
-  struct MergeState {
-    std::vector<MergeItem> items;
+    std::vector<FanoutPlan> fanout;                 // [segment]
   };
 
   // (graph, segment, pid) key into a merger instance's accumulating table.
@@ -174,20 +161,21 @@ class NfpDataplane {
                      sim::FifoChannel* channel);
   void run_nf(std::size_t g, std::size_t seg_idx, std::size_t nf_idx,
               Packet* pkt, SimTime ready);
-  void to_merger(std::size_t g, std::size_t seg_idx, MergeItem item,
-                 SimTime t);
+  // `sender` is the producing NF's component label (owned by its
+  // NfInstance): the merger-arrival span carries it so the profiler can
+  // pair each branch's arrival with its nf-enter/nf-exit.
+  void to_merger(std::size_t g, std::size_t seg_idx, MergeArrival item,
+                 const std::string* sender, SimTime t);
   void merger_arrival(std::size_t g, std::size_t seg_idx,
-                      std::size_t instance, MergeItem item, SimTime t);
+                      std::size_t instance, MergeArrival item,
+                      const std::string* sender, SimTime t);
   void complete_merge(std::size_t g, std::size_t seg_idx,
-                      std::size_t instance, MergeState state, SimTime t);
+                      std::size_t instance,
+                      std::vector<MergeArrival> arrivals, SimTime t);
   void leave_segment(std::size_t g, std::size_t seg_idx, Packet* pkt,
                      SimTime t, sim::SimCore* core, SimTime carry_delay,
                      sim::FifoChannel* channel);
   void output(Packet* pkt, SimTime t);
-  void drop_all(MergeState& state);
-
-  // Applies the segment's merge operations onto the version-1 packet.
-  Packet* apply_merge_ops(const Segment& seg, MergeState& state);
 
   // Resolves the hot-path metric handles against metrics_ (constructor).
   void bind_metrics();
@@ -230,7 +218,7 @@ class NfpDataplane {
   std::unordered_map<FiveTuple, std::size_t, FiveTupleHash> ct_;
 
   // Accumulating tables, one per merger instance (§5.3).
-  std::vector<std::map<AtKey, MergeState>> at_;
+  std::vector<std::map<AtKey, std::vector<MergeArrival>>> at_;
 
   u64 next_pid_ = 0;
   bool warned_pool_exhausted_ = false;

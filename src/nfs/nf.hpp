@@ -34,6 +34,13 @@ class NetworkFunction {
   virtual ActionProfile declared_profile() const = 0;
 };
 
+// The NF runtime's call on every plane: parses `pkt` and runs `nf` on it;
+// a frame that does not parse passes untouched.
+inline NfVerdict process_packet(NetworkFunction& nf, Packet& pkt) {
+  PacketView view(pkt);
+  return view.valid() ? nf.process(view) : NfVerdict::kPass;
+}
+
 // Factory for the built-in NF types of the paper's evaluation (§6.1).
 // Returns nullptr for unknown type names. `seed` parameterizes the NF's
 // synthetic tables (routes, ACL rules, signatures) deterministically.

@@ -431,6 +431,19 @@ Result<ServiceGraph> compile_policy(const Policy& policy,
         conflict[a][b] = conflict[b][a] = true;
       }
     }
+    // A payload writer may resize the packet, rewriting its length, the IP
+    // total length and the checksums that every other NF's parse reads: it
+    // shares its version with no one, or the pipelined plane's NF threads
+    // would race on those bytes.
+    for (std::size_t a = 0; a < conflict.size(); ++a) {
+      if (!table.profile(body[static_cast<std::size_t>(members[a])])
+               .writes(Field::kPayload)) {
+        continue;
+      }
+      for (std::size_t b = 0; b < conflict.size(); ++b) {
+        if (b != a) conflict[a][b] = conflict[b][a] = true;
+      }
+    }
 
     // Version colouring: payload-touching NFs first so they land on
     // version 1 whenever possible (versions that carry payload-touching NFs

@@ -10,13 +10,12 @@
 // pressure: a hot magazine shows near-zero refills per packet.
 //
 // A magazine belongs to exactly one thread. Capacity 0 degrades to direct
-// pool calls, and an optional serialization mutex reproduces the pre-batch
-// global-lock pool path for apples-to-apples benchmarking.
+// pool calls. It has the pool's alloc/clone/add_ref/release surface, so the
+// segment kernel's fan_out works through either.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <vector>
 
 #include "packet/packet_pool.hpp"
@@ -27,17 +26,15 @@ class PacketMagazine {
  public:
   // `refill_total` / `flush_total` may be shared by several magazines (the
   // live pipeline aggregates all of its threads into two counters); null is
-  // fine. `serial_mu` (benchmark baseline only) serializes every pool call.
+  // fine.
   PacketMagazine(PacketPool& pool, std::size_t capacity,
                  std::atomic<u64>* refill_total = nullptr,
-                 std::atomic<u64>* flush_total = nullptr,
-                 std::mutex* serial_mu = nullptr)
+                 std::atomic<u64>* flush_total = nullptr)
       : pool_(pool),
         capacity_(capacity),
         batch_(std::max<std::size_t>(1, capacity / 2)),
         refill_total_(refill_total),
-        flush_total_(flush_total),
-        serial_mu_(serial_mu) {
+        flush_total_(flush_total) {
     cache_.reserve(capacity);
   }
 
@@ -61,29 +58,17 @@ class PacketMagazine {
   }
 
   Packet* clone_header_only(const Packet& src) noexcept {
-    Packet* dst = alloc(std::min(src.length(), kHeaderCopyBytes));
+    Packet* dst = alloc(header_copy_len(src));
     if (dst == nullptr) return nullptr;
     PacketPool::copy_packet_header_only(*dst, src);
     return dst;
   }
 
-  void add_ref(Packet* p) noexcept {
-    if (serial_mu_ != nullptr) {
-      const std::scoped_lock lock(*serial_mu_);
-      pool_.add_ref(p);
-      return;
-    }
-    pool_.add_ref(p);
-  }
+  void add_ref(Packet* p) noexcept { pool_.add_ref(p); }
 
   // Drops one reference; the slot lands in the magazine when this was the
   // last holder.
   void release(Packet* p) noexcept {
-    if (serial_mu_ != nullptr) {
-      const std::scoped_lock lock(*serial_mu_);
-      pool_.release(p);
-      return;
-    }
     if (!pool_.dec_ref(p)) return;
     if (cache_.size() >= capacity_) {
       if (capacity_ == 0) {
@@ -113,11 +98,6 @@ class PacketMagazine {
 
  private:
   Packet* take_slot() noexcept {
-    if (serial_mu_ != nullptr) {
-      const std::scoped_lock lock(*serial_mu_);
-      Packet* p = nullptr;
-      return pool_.alloc_raw(&p, 1) == 1 ? p : nullptr;
-    }
     if (cache_.empty()) {
       if (capacity_ == 0) {
         Packet* p = nullptr;
@@ -142,7 +122,6 @@ class PacketMagazine {
   std::vector<Packet*> cache_;
   std::atomic<u64>* refill_total_;
   std::atomic<u64>* flush_total_;
-  std::mutex* serial_mu_;
 };
 
 }  // namespace nfp

@@ -4,6 +4,7 @@
 
 #include "common/logging.hpp"
 #include "packet/headers.hpp"
+#include "packet/packet_view.hpp"
 
 namespace nfp {
 
@@ -15,9 +16,21 @@ void PacketPool::copy_packet_full(Packet& dst, const Packet& src) noexcept {
   dst.flow() = src.flow();
 }
 
+std::size_t header_copy_len(const Packet& src) noexcept {
+  std::size_t len = kHeaderCopyBytes;
+  if (src.length() > kEthHeaderLen + kIpv4HeaderLen &&
+      src.data()[kEthHeaderLen + 9] == kProtoAh) {
+    // The parse only reads; PacketView takes a mutable packet because NFs
+    // write through it.
+    const PacketView view(const_cast<Packet&>(src));
+    if (view.valid()) len = std::max(len, view.payload_offset());
+  }
+  return std::min(src.length(), len);
+}
+
 void PacketPool::copy_packet_header_only(Packet& dst,
                                          const Packet& src) noexcept {
-  const std::size_t copy_len = std::min(src.length(), kHeaderCopyBytes);
+  const std::size_t copy_len = dst.length();
   std::memcpy(dst.data(), src.data(), copy_len);
   dst.meta() = src.meta();
   dst.set_inject_time(src.inject_time());
@@ -36,8 +49,7 @@ void PacketPool::copy_packet_header_only(Packet& dst,
 }
 
 Packet* PacketPool::clone_header_only(const Packet& src) noexcept {
-  const std::size_t copy_len = std::min(src.length(), kHeaderCopyBytes);
-  Packet* dst = alloc(copy_len);
+  Packet* dst = alloc(header_copy_len(src));
   if (dst == nullptr) return nullptr;
   copy_packet_header_only(*dst, src);
   return dst;

@@ -170,7 +170,8 @@ class PacketPool {
   }
 
   // The copy bodies behind clone_full/clone_header_only, usable on slots
-  // allocated elsewhere (magazine caches).
+  // allocated elsewhere (magazine caches); the header-only body copies
+  // dst.length() bytes, so `dst` must be activated with header_copy_len.
   static void copy_packet_full(Packet& dst, const Packet& src) noexcept;
   static void copy_packet_header_only(Packet& dst, const Packet& src) noexcept;
 
@@ -210,5 +211,11 @@ class PacketPool {
 // reports a fixed 64 B for TCP traffic on Ethernet (14 + 20 + 20 = 54,
 // padded to the 64 B minimum frame / cache line).
 inline constexpr std::size_t kHeaderCopyBytes = 64;
+
+// Bytes a header-only copy of `src` takes: kHeaderCopyBytes, extended
+// through the L4 header when an IPsec AH header (24 B, added by an
+// upstream VPN) pushes it past them, so NFs on the copy still parse the
+// ports; never more than the packet.
+std::size_t header_copy_len(const Packet& src) noexcept;
 
 }  // namespace nfp

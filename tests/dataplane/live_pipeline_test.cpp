@@ -130,36 +130,6 @@ ServiceGraph make_tree_graph() {
   return g;
 }
 
-// The batched hot path (burst rings, magazines, merge table, batched
-// commits) must be output-equivalent to the per-packet compat path, which
-// reproduces the pre-batching serialized pipeline.
-TEST(LivePipeline, BatchedPathMatchesPerPacketCompat) {
-  const auto frames = make_frames(200);
-
-  LivePipelineOptions batched;
-  batched.burst_size = 16;
-  batched.magazine_size = 32;
-  LivePipeline fast(make_tree_graph(), {}, batched);
-  LiveResult fast_result = fast.run(frames);
-
-  LivePipelineOptions compat;
-  compat.per_packet_compat = true;
-  LivePipeline slow(make_tree_graph(), {}, compat);
-  LiveResult slow_result = slow.run(frames);
-
-  EXPECT_EQ(fast_result.dropped, slow_result.dropped);
-  ASSERT_EQ(fast_result.outputs.size(), slow_result.outputs.size());
-  // Completion order may differ across runs; compare as multisets.
-  std::sort(fast_result.outputs.begin(), fast_result.outputs.end());
-  std::sort(slow_result.outputs.begin(), slow_result.outputs.end());
-  EXPECT_EQ(fast_result.outputs, slow_result.outputs);
-
-  // The batched run must not have tripped the underflow detector, and with
-  // 200 packets through hot magazines, refills stay well under 1/packet.
-  EXPECT_EQ(fast.refcnt_underflows(), 0u);
-  EXPECT_LT(fast.magazine_refills(), 200u);
-}
-
 // Tiny rings, tiny pool, burst larger than the ring: the clamps and the
 // in-flight window must keep the pipeline live under heavy backpressure.
 TEST(LivePipeline, SurvivesAggressiveOptionSweep) {

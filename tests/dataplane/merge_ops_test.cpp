@@ -1,6 +1,6 @@
 // Direct tests of the byte-level merge engine (paper §5.3, Fig 6) — the
-// shared core behind both dataplane modes — including a randomized
-// write-graft property check.
+// merge half of the segment kernel every plane runs — including a
+// randomized write-graft property check.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -78,6 +78,29 @@ TEST(MergeOpsTest, MissingBaseReturnsNull) {
   v2->meta().set_version(2);
   const Segment seg = two_version_segment({});
   EXPECT_EQ(apply_merge_operations(seg, {{v2, 2}}), nullptr);
+  pool.release(v2);
+}
+
+TEST(MergeOpsTest, OpAboveVersionCountIsNoOp) {
+  // An op naming a version past num_versions (a malformed hand-built
+  // segment) must not index past the arrivals: it is skipped, and so is
+  // an arrival whose version is past the metadata's 4 version bits.
+  PacketPool pool(4);
+  PacketSpec spec;
+  spec.frame_size = 128;
+  Packet* v1 = build_packet(pool, spec);
+  Packet* v2 = pool.clone_full(*v1);
+  ASSERT_NE(v2, nullptr);
+  PacketView(*v2).set_src_ip(0xDEADBEEF);
+  const std::vector<u8> before(v1->data(), v1->data() + v1->length());
+
+  const Segment seg = two_version_segment(
+      {MergeOp{MergeOp::Kind::kModify, 3, Field::kSrcIp},
+       MergeOp{MergeOp::Kind::kModify, 200, Field::kSrcIp}});
+  Packet* merged = apply_merge_operations(seg, {{v1, 1}, {v2, 200}});
+  ASSERT_EQ(merged, v1);
+  EXPECT_EQ(std::vector<u8>(v1->data(), v1->data() + v1->length()), before);
+  pool.release(v1);
   pool.release(v2);
 }
 

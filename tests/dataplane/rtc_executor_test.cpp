@@ -80,7 +80,9 @@ ServiceGraph make_tree_graph() {
 }
 
 // Runs the same graph + frames under both execution modes and asserts the
-// delivered multisets and per-reason drop totals are identical.
+// delivered multisets and per-reason drop totals are identical, that no
+// release tripped the refcount-underflow detector, and that hot magazines
+// keep pool refills well under one per packet.
 void check_mode_equivalence(
     const ServiceGraph& graph, const std::vector<std::vector<u8>>& frames,
     const std::function<std::unique_ptr<NetworkFunction>(const StageNf&)>&
@@ -110,6 +112,13 @@ void check_mode_equivalence(
   std::sort(rtc_result.outputs.begin(), rtc_result.outputs.end());
   std::sort(piped_result.outputs.begin(), piped_result.outputs.end());
   EXPECT_EQ(rtc_result.outputs, piped_result.outputs);
+
+  for (LivePipeline* pipe : {&rtc, &piped}) {
+    EXPECT_EQ(pipe->refcnt_underflows(), 0u)
+        << exec_mode_name(pipe->exec_mode());
+    EXPECT_LT(pipe->magazine_refills(), frames.size())
+        << exec_mode_name(pipe->exec_mode());
+  }
 }
 
 TEST(RtcExecutor, TreeGraphMatchesPipelinedMultiset) {
@@ -162,13 +171,6 @@ TEST(RtcExecutor, AutoModeFusesSequentialGraphsOnly) {
   LivePipeline fused(compile_chain({"ids", "monitor", "lb"}), {}, rtc_opts);
   EXPECT_EQ(fused.exec_mode(), ExecMode::kRtc);
   EXPECT_EQ(fused.run(frames).outputs.size(), frames.size());
-
-  // compat reproduces the pre-batching pipelined path; it pins the mode.
-  LivePipelineOptions compat;
-  compat.exec_mode = ExecMode::kRtc;
-  compat.per_packet_compat = true;
-  LivePipeline pinned(ServiceGraph::sequential("s", {"monitor"}), {}, compat);
-  EXPECT_EQ(pinned.exec_mode(), ExecMode::kPipelined);
 
   EXPECT_NE(parse_exec_mode("rtc"), std::nullopt);
   EXPECT_EQ(parse_exec_mode("bogus"), std::nullopt);

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "orch/compiler.hpp"
 #include "policy/policy.hpp"
+#include "../support/random_policy.hpp"
 
 namespace nfp {
 namespace {
@@ -20,35 +21,12 @@ const std::vector<std::string>& nf_universe() {
   return kNfs;
 }
 
-// Draws a random acyclic policy over 3-6 distinct NFs.
-Policy random_policy(Rng& rng) {
-  const auto& universe = nf_universe();
-  std::vector<std::string> nfs = universe;
-  // Fisher-Yates prefix shuffle.
-  for (std::size_t i = 0; i < nfs.size(); ++i) {
-    std::swap(nfs[i], nfs[i + rng.bounded(nfs.size() - i)]);
-  }
-  nfs.resize(3 + rng.bounded(4));
-
-  Policy policy("random");
-  for (std::size_t i = 0; i < nfs.size(); ++i) {
-    for (std::size_t j = i + 1; j < nfs.size(); ++j) {
-      // Forward-only edges keep the Order relation acyclic.
-      if (rng.uniform() < 0.45) policy.add_order(nfs[i], nfs[j]);
-    }
-  }
-  if (rng.uniform() < 0.3) policy.add_position(nfs.front(), Placement::kFirst);
-  if (rng.uniform() < 0.3) policy.add_position(nfs.back(), Placement::kLast);
-  for (const auto& nf : nfs) policy.add_free_nf(nf);  // ensure all appear
-  return policy;
-}
-
 class CompilerPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CompilerPropertyTest, RandomPoliciesYieldWellFormedGraphs) {
   Rng rng(static_cast<u64>(GetParam()) * 7919 + 13);
   const ActionTable table = ActionTable::with_builtin_nfs();
-  const Policy policy = random_policy(rng);
+  const Policy policy = test_support::random_policy(rng, nf_universe());
 
   CompileReport report;
   auto result = compile_policy(policy, table, {}, &report);

@@ -168,6 +168,24 @@ TEST_F(CompilerTest, PayloadReaderVersusPayloadWriterFullCopy) {
   EXPECT_TRUE(payload_op);
 }
 
+TEST_F(CompilerTest, PayloadWriterSharesItsVersionWithNoOne) {
+  // Compression rewrites only the payload and the firewall reads only
+  // headers, so they parallelize — but a payload rewrite may resize the
+  // packet under the firewall's parse, so the firewall takes a header copy
+  // instead of sharing version 1 (the pipelined plane runs them on two
+  // threads).
+  const ServiceGraph g = compile("policy pw\nchain(compression, firewall)");
+  ASSERT_EQ(g.equivalent_length(), 1u) << g.to_string();
+  const Segment& seg = g.segments()[0];
+  const StageNf* comp = find_nf(seg, "compression");
+  const StageNf* fw = find_nf(seg, "firewall");
+  ASSERT_NE(comp, nullptr);
+  ASSERT_NE(fw, nullptr);
+  EXPECT_EQ(comp->version, 1);
+  EXPECT_EQ(fw->version, 2);
+  EXPECT_FALSE(seg.version_needs_full_copy(2));
+}
+
 TEST_F(CompilerTest, VpnStaysOnOriginalVersionMonitorTakesTheCopy) {
   // Monitor (reads headers) ∥ VPN (encrypts payload, adds AH): the compiler
   // keeps the payload-touching VPN on version 1 — the copy then only needs

@@ -3,6 +3,7 @@
 
 #include "packet/builder.hpp"
 #include "packet/packet.hpp"
+#include "packet/packet_magazine.hpp"
 #include "packet/packet_pool.hpp"
 #include "packet/packet_view.hpp"
 
@@ -184,6 +185,35 @@ TEST(HeaderOnlyCopy, CopiesHeadersAndFixesLength) {
   EXPECT_EQ(ip.total_length(), kHeaderCopyBytes - kEthHeaderLen);
   pool.release(orig);
   pool.release(copy);
+}
+
+TEST(HeaderOnlyCopy, ExtendsThroughL4HeaderBehindAh) {
+  // An upstream VPN's AH header (24 B) pushes the TCP header past the
+  // first 64 bytes; the copy must still carry the ports, or an NF on it
+  // (an LB hashing the 5-tuple) diverges from the sequential chain.
+  PacketPool pool(4);
+  PacketSpec spec;
+  spec.frame_size = 600;
+  Packet* orig = build_packet(pool, spec);
+  ASSERT_NE(orig, nullptr);
+  PacketView(*orig).add_ah_header(/*spi=*/7, /*seq=*/1);
+  const std::size_t l4_end =
+      kEthHeaderLen + kIpv4HeaderLen + kAhHeaderLen + kTcpHeaderLen;
+  EXPECT_EQ(header_copy_len(*orig), l4_end);
+
+  PacketMagazine mag(pool, 0);
+  for (Packet* copy : {pool.clone_header_only(*orig),
+                       mag.clone_header_only(*orig)}) {
+    ASSERT_NE(copy, nullptr);
+    EXPECT_EQ(copy->length(), l4_end);
+    PacketView v(*copy);
+    ASSERT_TRUE(v.valid());
+    EXPECT_TRUE(v.has_ah());
+    EXPECT_EQ(v.src_port(), spec.tuple.src_port);
+    EXPECT_EQ(v.dst_port(), spec.tuple.dst_port);
+    pool.release(copy);
+  }
+  pool.release(orig);
 }
 
 TEST(HeaderOnlyCopy, SmallPacketCopiedWhole) {

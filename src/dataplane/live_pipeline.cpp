@@ -272,17 +272,18 @@ bool LivePipeline::feed(std::span<const u8> frame) {
   if (state_.load(std::memory_order_acquire) != RunState::kRunning) {
     return false;
   }
-  // Standalone sampling: no flow hash at this layer, so sample by pid.
-  u64 origin = 0;
-  if (opts_.latency_sample_every != 0 &&
-      next_pid_ % opts_.latency_sample_every == 0) {
-    origin = telemetry::mono_now_ns();
-  }
+  // One clock read stamps the arrival (inject_time, which a shaper's token
+  // bucket refills from) and, when sampled, the latency origin. Standalone
+  // sampling: no flow hash at this layer, so sample by pid.
+  const u64 now = telemetry::mono_now_ns();
+  const bool sampled = opts_.latency_sample_every != 0 &&
+                       next_pid_ % opts_.latency_sample_every == 0;
   exec_->admit();
   Packet* pkt = exec_->alloc(frame.size());
   if (pkt == nullptr) return false;
   std::memcpy(pkt->data(), frame.data(), frame.size());
-  pkt->lat().origin_ns = origin;
+  pkt->set_inject_time(now);
+  pkt->lat().origin_ns = sampled ? now : 0;
   return enter(pkt);
 }
 

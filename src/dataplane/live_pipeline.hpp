@@ -10,8 +10,9 @@
 //
 // The pipelined hot path is built on the DPDK idioms of the paper's
 // infrastructure layer (§5, Fig 3):
-//   * burst ring I/O — packets move between threads in bursts with one
-//     index publish per burst (SpscRing::push_burst/pop_burst),
+//   * burst ring I/O — packets move between threads in bursts, each
+//     value handed over by its slot's stamp (SpscRing::push_burst/
+//     pop_burst),
 //   * per-thread magazine caches over a lock-free packet pool — alloc,
 //     release and add_ref never take a lock (PacketMagazine / PacketPool),
 //   * precomputed fanout plans — each segment's version-copy list and
@@ -142,9 +143,10 @@ class LivePipeline {
   //   start()  spawn the worker threads (once per pipeline — a second call
   //            errors, enforcing the old run()-once contract in code);
   //   feed()   copy one frame into a pool slot (blocking under the
-  //            in-flight window and pool backpressure) and feed_packet()
-  //            it; single-ingest-thread discipline — only one thread may
-  //            feed, segment-0 rings are SPSC;
+  //            in-flight window and pool backpressure), stamp its arrival
+  //            as inject_time and feed_packet() it; single-ingest-thread
+  //            discipline — only one thread may feed, segment-0 rings are
+  //            SPSC;
   //   drain()  wait for every in-flight packet, stop and join the workers,
   //            and hand back the accumulated result.
   // run() is now a start + feed-loop + drain composition.
@@ -154,6 +156,7 @@ class LivePipeline {
   // without copying it: the sharded worker hands over the director's slot.
   // Takes ownership of `pkt` in every case (false: not running, or a
   // counted pool_exhausted drop). The caller's stamps ride the packet:
+  // inject_time is its arrival time (the sharded worker stamps it),
   // lat().origin_ns != 0 marks it sampled with that ingest time (no pid
   // fallback — plain feed() self-samples by pid % latency_sample_every),
   // and a valid flow() is reused by drop exemplars instead of a reparse.

@@ -96,6 +96,20 @@ struct FlowAccumulator {
   }
 };
 
+// The director's flow identity for `frame`: one parse and one hash, which
+// drive shard selection, latency sampling, classification and the flow
+// observatory's keys. Non-IP frames hash a default tuple: one consistent
+// "anonymous" flow.
+FlowRef derive_flow(std::span<const u8> frame) noexcept {
+  FlowRef flow;
+  if (const auto parsed = parse_five_tuple(frame)) {
+    flow.tuple = *parsed;
+    flow.valid = true;
+  }
+  flow.hash = hash_five_tuple(flow.tuple);
+  return flow;
+}
+
 }  // namespace
 
 ShardedDataplane::ShardedDataplane(std::vector<ServiceGraph> graphs,
@@ -125,7 +139,7 @@ ShardedDataplane::ShardedDataplane(std::vector<ServiceGraph> graphs,
     Shard& sh = shards_[s];
     sh.pool = std::make_unique<PacketPool>(opts_.ingest_pool_size);
     sh.director_mag = std::make_unique<PacketMagazine>(*sh.pool, magazine);
-    sh.ring = std::make_unique<SpscRing<Packet*>>(opts_.ingest_ring_depth);
+    sh.ring = std::make_unique<SpscRing<IngestDesc>>(opts_.ingest_ring_depth);
     sh.cache =
         std::make_unique<MicroflowCache>(ct_, opts_.microflow_capacity);
     sh.received = std::make_unique<telemetry::OwnedCounter>();
@@ -175,10 +189,7 @@ std::size_t ShardedDataplane::classifier_tuple_count() const {
 }
 
 std::size_t ShardedDataplane::shard_for(std::span<const u8> frame) const {
-  // Non-IP frames hash a default tuple: one consistent "anonymous" flow.
-  FiveTuple t;
-  if (const auto parsed = parse_five_tuple(frame)) t = *parsed;
-  return static_cast<std::size_t>(hash_five_tuple(t)) % shards_.size();
+  return static_cast<std::size_t>(derive_flow(frame).hash) % shards_.size();
 }
 
 Status ShardedDataplane::start() {
@@ -201,17 +212,10 @@ Status ShardedDataplane::start() {
 }
 
 bool ShardedDataplane::feed(std::span<const u8> frame) {
-  // Parse + hash once: the same flow hash drives shard selection, the
-  // (decorrelated) latency-sampling decision, classification and the flow
-  // observatory's heavy-hitter keys — carried on the packet as its FlowRef
-  // so no later hop reparses. The origin stamp is taken before the
-  // pool/ring waits below so ingest latency includes director backpressure.
-  FlowRef flow;
-  if (const auto parsed = parse_five_tuple(frame)) {
-    flow.tuple = *parsed;
-    flow.valid = true;
-  }
-  flow.hash = hash_five_tuple(flow.tuple);
+  // Parse + hash once; the FlowRef rides the descriptor so no later hop
+  // reparses. The origin stamp is taken before the pool/ring waits below
+  // so ingest latency includes director backpressure.
+  const FlowRef flow = derive_flow(frame);
   Shard& sh = shards_[static_cast<std::size_t>(flow.hash) % shards_.size()];
   if (state_.load(std::memory_order_acquire) != RunState::kRunning) {
     // Offered while not running: still a packet the caller lost — tag it so
@@ -227,8 +231,10 @@ bool ShardedDataplane::feed(std::span<const u8> frame) {
           : 0;
   telemetry::CycleCounters* dsink = sh.director_cycles.get();
   PacketMagazine& mag = *sh.director_mag;
-  Packet* pkt = mag.alloc(frame.size());
-  if (pkt == nullptr) {
+  // A NIC writes only the frame and its RX descriptor: the slot stays raw
+  // (its metadata lines untouched here) until the shard activates it.
+  Packet* slot = mag.take_raw();
+  if (slot == nullptr) {
     if (opts_.drop_on_ingest_backpressure) {
       // NIC-like tail drop: the shard's RX pool is dry, the frame is lost.
       sh.flows->record_drop(telemetry::DropReason::kPoolExhausted,
@@ -242,7 +248,7 @@ bool ShardedDataplane::feed(std::span<const u8> frame) {
     Backoff alloc_backoff;
     do {
       alloc_backoff.pause();
-    } while ((pkt = mag.alloc(frame.size())) == nullptr);
+    } while ((slot = mag.take_raw()) == nullptr);
     if (dsink != nullptr) {
       dsink->add(telemetry::CycleBucket::kPoolWait,
                  telemetry::mono_now_ns() - t0);
@@ -250,13 +256,14 @@ bool ShardedDataplane::feed(std::span<const u8> frame) {
                                    std::memory_order_relaxed);
     }
   }
-  std::memcpy(pkt->data(), frame.data(), frame.size());
-  pkt->lat().origin_ns = origin_ns;
-  pkt->flow() = flow;
-  if (!sh.ring->push(pkt)) {
+  std::memcpy(slot->reset_data(), frame.data(), frame.size());
+  const IngestDesc desc{slot, flow, origin_ns,
+                        static_cast<u32>(frame.size())};
+  if (!sh.ring->push(desc)) {
     if (opts_.drop_on_ingest_backpressure) {
-      // NIC-like tail drop: RX ring full, the frame is lost.
-      mag.release(pkt);
+      // NIC-like tail drop: RX ring full, the frame is lost. The slot was
+      // never activated, so it goes back without a reference drop.
+      mag.release_raw(slot);
       sh.flows->record_drop(telemetry::DropReason::kRingFull, "director",
                             &flow, telemetry::mono_now_ns());
       return false;
@@ -266,7 +273,7 @@ bool ShardedDataplane::feed(std::span<const u8> frame) {
     Backoff ring_backoff;
     do {
       ring_backoff.pause();
-    } while (!sh.ring->push(pkt));
+    } while (!sh.ring->push(desc));
     if (dsink != nullptr) {
       dsink->add(telemetry::CycleBucket::kRingWait,
                  telemetry::mono_now_ns() - t0);
@@ -286,7 +293,7 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
     }
   }
   Shard& sh = shards_[shard_idx];
-  std::vector<Packet*> burst(opts_.ingest_burst);
+  std::vector<IngestDesc> burst(opts_.ingest_burst);
   // Takes the slots of frames a CT drop rule scrubs; every other frame's
   // slot passes to its pipeline.
   PacketMagazine mag(*sh.pool, opts_.pipeline.magazine_size);
@@ -337,10 +344,17 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
     idle.reset();
     sh.cache->sync_generation();
     for (std::size_t i = 0; i < n; ++i) {
-      Packet* pkt = burst[i];
-      // The director already parsed + hashed the 5-tuple; reuse its FlowRef
-      // for classification and the observatory keys — no reparse.
-      const FlowRef& flow = pkt->flow();
+      const IngestDesc& desc = burst[i];
+      // Activate the director's raw slot here, on the core that runs it.
+      // Its inject_time is this iteration's clock read: no extra read per
+      // packet. The director already parsed + hashed the 5-tuple; reuse
+      // its FlowRef for classification and the observatory keys.
+      Packet* pkt = desc.slot;
+      PacketPool::activate(*pkt, desc.len);
+      pkt->flow() = desc.flow;
+      pkt->lat().origin_ns = desc.origin_ns;
+      pkt->set_inject_time(iter_start);
+      const FlowRef& flow = desc.flow;
       std::size_t g = 0;
       if (flow.valid) g = sh.cache->classify(flow.tuple);
       if (g == LiveClassificationTable::kDropGraph) {
@@ -350,22 +364,23 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
         sh.flows->record_drop(telemetry::DropReason::kClassifierMiss,
                               "classifier", &flow, telemetry::mono_now_ns());
         if (opts_.flow_accounting &&
-            !acc.add(flow, pkt->length(), telemetry::FlowSample::kNoGraph)) {
+            !acc.add(flow, desc.len, telemetry::FlowSample::kNoGraph)) {
           acc.flush(*sh.flows);
-          acc.add(flow, pkt->length(), telemetry::FlowSample::kNoGraph);
+          acc.add(flow, desc.len, telemetry::FlowSample::kNoGraph);
         }
         mag.release(pkt);
         continue;
       }
       sh.graph_counts[g]->increment();
       if (opts_.flow_accounting &&
-          !acc.add(flow, pkt->length(), static_cast<u32>(g))) {
+          !acc.add(flow, desc.len, static_cast<u32>(g))) {
         acc.flush(*sh.flows);
-        acc.add(flow, pkt->length(), static_cast<u32>(g));
+        acc.add(flow, desc.len, static_cast<u32>(g));
       }
       // The pipeline now owns the slot (it may already be recycled when
-      // feed_packet returns). The director made the sampling decision:
-      // origin_ns == 0 means unsampled, with no pid fallback.
+      // feed_packet returns), so `flow` above is the descriptor's copy. The
+      // director made the sampling decision: origin_ns == 0 means
+      // unsampled, with no pid fallback.
       sh.pipelines[g]->feed_packet(pkt);
     }
     // Flush only when the epoch is full; the n == 0 branch above publishes

@@ -20,13 +20,16 @@
 //     cache (live_classifier.hpp), so steady-state classification is one
 //     bounded-LRU lookup instead of a mutex-guarded rule scan.
 //
-// Dataflow per frame: the director copies it into a slot of the shard's
-// packet pool and pushes the slot onto the shard's SPSC ring (the RX
-// queue); the shard worker classifies it and hands that same slot to the
-// verdict graph's pipeline (LivePipeline::feed_packet), which runs it in
-// place. Every pipeline of a shard draws from the one shard pool, so a
-// delivered frame's payload is copied twice: in at the director, out into
-// LiveResult::outputs at delivery; drain() moves those frames.
+// Dataflow per frame: the director writes what a NIC writes and nothing
+// more — the frame's bytes into a raw slot of the shard's packet pool, and
+// one RX descriptor (slot, length, parsed flow, latency origin) onto the
+// shard's SPSC ring, one cache line per frame. The shard worker activates
+// the slot on its own core (metadata, refcount, flow, origin, inject_time),
+// classifies it and hands it to the verdict graph's pipeline
+// (LivePipeline::feed_packet), which runs it in place. Every pipeline of a
+// shard draws from the one shard pool, so a delivered frame's payload is
+// copied twice: in at the director, out into LiveResult::outputs at
+// delivery; drain() moves those frames.
 //
 // The constructor sizes each shard pool to at least everything that can
 // hold its slots at once — a full RX ring, the worker's burst, the
@@ -230,13 +233,26 @@ class ShardedDataplane {
   u64 shard_director_dropped(std::size_t s) const;
 
  private:
+  // One RX descriptor. `slot` is raw (refcount 0, stale metadata) until
+  // the shard worker activates it from the other fields; origin_ns == 0
+  // means the frame is not latency-sampled.
+  struct IngestDesc {
+    Packet* slot = nullptr;
+    FlowRef flow;
+    u64 origin_ns = 0;
+    u32 len = 0;
+  };
+  static_assert(SpscRing<IngestDesc>::kSlotBytes == kCacheLineSize &&
+                    SpscRing<IngestDesc>::kSlotAlign == kCacheLineSize,
+                "a descriptor and its stamp must fill exactly one cache line");
+
   struct Shard {
     // Every packet slot of the shard. Declared first so it outlives the
     // magazine and pipelines below, which return slots to it on teardown.
     std::unique_ptr<PacketPool> pool;
-    // The director's allocation cache on `pool` (director thread only).
+    // The director's raw-slot cache on `pool` (director thread only).
     std::unique_ptr<PacketMagazine> director_mag;
-    std::unique_ptr<SpscRing<Packet*>> ring;
+    std::unique_ptr<SpscRing<IngestDesc>> ring;
     std::thread worker;
     std::vector<std::unique_ptr<LivePipeline>> pipelines;  // [graph]
     std::unique_ptr<MicroflowCache> cache;

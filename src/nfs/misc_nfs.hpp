@@ -160,11 +160,10 @@ class TrafficShaper final : public NetworkFunction {
   std::string_view type_name() const override { return "shaper"; }
 
   NfVerdict process(PacketView& packet) override {
-    const std::size_t len = packet.packet().length();
+    const std::size_t len = packet.frame_length();
     bytes_seen_ += len;
-    // Simulated arrival time: the injection timestamp carried on the buffer.
-    const bool conforms =
-        bucket_.conform(packet.packet().inject_time(), len);
+    // Arrival time: the injection timestamp carried on the buffer.
+    const bool conforms = bucket_.conform(packet.inject_time(), len);
     if (!conforms) {
       ++out_of_profile_;
       if (policing_) return NfVerdict::kDrop;

@@ -31,7 +31,7 @@ class Monitor final : public NetworkFunction {
   std::string_view type_name() const override { return "monitor"; }
 
   NfVerdict process(PacketView& packet) override {
-    flows_.record(packet.five_tuple(), packet.packet().length());
+    flows_.record(packet.five_tuple(), packet.frame_length());
     return NfVerdict::kPass;
   }
 

@@ -102,6 +102,10 @@ class Packet {
     flow_ = FlowRef{};
   }
   void set_length(std::size_t len) noexcept { data_len_ = len; }
+  // Where data() points once reset() has run. A producer that leaves the
+  // reset to the slot's next owner (the sharded director) copies a frame
+  // here without reading the slot's stale metadata.
+  u8* reset_data() noexcept { return buf_.data() + kHeadroom; }
 
   // Grows the packet at the front (header insertion); returns the new start.
   u8* prepend(std::size_t n) noexcept {

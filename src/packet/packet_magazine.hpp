@@ -11,7 +11,9 @@
 //
 // A magazine belongs to exactly one thread. Capacity 0 degrades to direct
 // pool calls. It has the pool's alloc/clone/add_ref/release surface, so the
-// segment kernel's fan_out works through either.
+// segment kernel's fan_out works through either. take_raw/release_raw move
+// slots that no one has activated: the sharded director fills raw slots
+// and leaves their activation to the shard that runs them.
 #pragma once
 
 #include <algorithm>
@@ -44,9 +46,30 @@ class PacketMagazine {
   PacketMagazine& operator=(const PacketMagazine&) = delete;
 
   Packet* alloc(std::size_t len) noexcept {
-    Packet* p = take_slot();
+    Packet* p = take_raw();
     if (p == nullptr) return nullptr;
     PacketPool::activate(*p, len);
+    return p;
+  }
+
+  // A raw slot (refcount 0, stale metadata) for a caller that hands it to
+  // another thread to activate; nullptr when the pool is dry.
+  Packet* take_raw() noexcept {
+    if (cache_.empty()) {
+      if (capacity_ == 0) {
+        Packet* p = nullptr;
+        return pool_.alloc_raw(&p, 1) == 1 ? p : nullptr;
+      }
+      cache_.resize(batch_);
+      const std::size_t got = pool_.alloc_raw(cache_.data(), batch_);
+      cache_.resize(got);
+      if (got == 0) return nullptr;
+      if (refill_total_ != nullptr) {
+        refill_total_->fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    Packet* p = cache_.back();
+    cache_.pop_back();
     return p;
   }
 
@@ -69,7 +92,13 @@ class PacketMagazine {
   // Drops one reference; the slot lands in the magazine when this was the
   // last holder.
   void release(Packet* p) noexcept {
-    if (!pool_.dec_ref(p)) return;
+    if (pool_.dec_ref(p)) release_raw(p);
+  }
+
+  // Takes back a slot that holds no reference: one from take_raw() that was
+  // never activated (dec_ref on it would count a refcount underflow), or
+  // one whose last reference is already dropped.
+  void release_raw(Packet* p) noexcept {
     if (cache_.size() >= capacity_) {
       if (capacity_ == 0) {
         pool_.free_raw(&p, 1);
@@ -97,25 +126,6 @@ class PacketMagazine {
   std::size_t cached() const noexcept { return cache_.size(); }
 
  private:
-  Packet* take_slot() noexcept {
-    if (cache_.empty()) {
-      if (capacity_ == 0) {
-        Packet* p = nullptr;
-        return pool_.alloc_raw(&p, 1) == 1 ? p : nullptr;
-      }
-      cache_.resize(batch_);
-      const std::size_t got = pool_.alloc_raw(cache_.data(), batch_);
-      cache_.resize(got);
-      if (got == 0) return nullptr;
-      if (refill_total_ != nullptr) {
-        refill_total_->fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    Packet* p = cache_.back();
-    cache_.pop_back();
-    return p;
-  }
-
   PacketPool& pool_;
   const std::size_t capacity_;
   const std::size_t batch_;

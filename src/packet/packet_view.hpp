@@ -36,8 +36,13 @@ class PacketView {
   }
 
   bool valid() const noexcept { return valid_; }
-  Packet& packet() noexcept { return *pkt_; }
-  const Packet& packet() const noexcept { return *pkt_; }
+
+  // --- packet metadata -------------------------------------------------------
+  // Not Table 2 header fields, so the recorder logs nothing: the frame's
+  // length in bytes and its arrival time (simulated ns on the simulated
+  // plane, monotonic ns on the live planes).
+  std::size_t frame_length() const noexcept { return pkt_->length(); }
+  SimTime inject_time() const noexcept { return pkt_->inject_time(); }
 
   // --- L3 fields -------------------------------------------------------------
   u32 src_ip() const {

@@ -7,6 +7,7 @@
 #include "dataplane/live_pipeline.hpp"
 #include "dataplane/nfp_dataplane.hpp"
 #include "nfs/firewall.hpp"
+#include "nfs/misc_nfs.hpp"
 #include "nfs/monitor.hpp"
 #include "orch/compiler.hpp"
 #include "packet/builder.hpp"
@@ -171,6 +172,31 @@ TEST(LivePipeline, DropsPropagateThroughNilPackets) {
   EXPECT_EQ(result.dropped, 40u);
   auto* mon = dynamic_cast<Monitor*>(pipe.nf(0, 0));
   EXPECT_EQ(mon->total_packets(), 40u);
+}
+
+TEST(LivePipeline, FeedStampsArrivalForTheShaper) {
+  // feed() stamps inject_time, so the shaper's token bucket refills: 2,048
+  // 64-B frames (128 KB, twice its 64 KB bucket) at far below 1.25 GB/s
+  // conform, in both exec modes.
+  PacketPool pool(1);
+  PacketSpec spec;
+  Packet* p = build_packet(pool, spec);
+  const std::vector<std::vector<u8>> frames(
+      2'048, std::vector<u8>(p->data(), p->data() + p->length()));
+  pool.release(p);
+  ASSERT_EQ(frames.front().size(), 64u);
+  for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    LivePipelineOptions opts;
+    opts.exec_mode = mode;
+    LivePipeline pipe(compile_chain({"shaper"}), {}, opts);
+    const LiveResult result = pipe.run(frames);
+    ASSERT_TRUE(result.status.is_ok());
+    EXPECT_EQ(result.outputs.size(), frames.size());
+    auto* shaper = dynamic_cast<TrafficShaper*>(pipe.nf(0, 0));
+    ASSERT_NE(shaper, nullptr);
+    EXPECT_EQ(shaper->out_of_profile(), 0u);
+  }
 }
 
 }  // namespace

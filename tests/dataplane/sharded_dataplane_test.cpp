@@ -17,6 +17,7 @@
 #include "dataplane/live_pipeline.hpp"
 #include "dataplane/sharded_dataplane.hpp"
 #include "nfs/firewall.hpp"
+#include "nfs/misc_nfs.hpp"
 #include "nfs/monitor.hpp"
 #include "orch/compiler.hpp"
 #include "packet/builder.hpp"
@@ -44,14 +45,16 @@ FiveTuple test_tuple(std::size_t flow) {
 
 // `flows` distinct 5-tuples round-robined across `count` frames, with real
 // Ethernet/IPv4/TCP headers so the director can parse them back out.
+// Frames are `frame_size` bytes, or cycle through 64..256 when it is 0.
 std::vector<std::vector<u8>> make_flow_frames(std::size_t count,
-                                              std::size_t flows) {
+                                              std::size_t flows,
+                                              std::size_t frame_size = 0) {
   PacketPool pool(4);
   std::vector<std::vector<u8>> frames;
   for (std::size_t i = 0; i < count; ++i) {
     PacketSpec spec;
     spec.tuple = test_tuple(i % flows);
-    spec.frame_size = 64 + (i % 4) * 64;
+    spec.frame_size = frame_size != 0 ? frame_size : 64 + (i % 4) * 64;
     Packet* p = build_packet(pool, spec);
     frames.emplace_back(p->data(), p->data() + p->length());
     pool.release(p);
@@ -515,6 +518,43 @@ TEST(ShardedDataplane, SmallestPoolRunsLossless) {
     EXPECT_EQ(res.dropped, 0u);
     for (std::size_t s = 0; s < dp.shard_count(); ++s) {
       EXPECT_EQ(dp.shard_pool(s).in_use(), 0u) << "shard " << s;
+    }
+  }
+}
+
+TEST(ShardedDataplane, ShaperRefillsFromLiveArrivalTimes) {
+  // The shard worker stamps each frame's arrival (inject_time), which a
+  // shaper's token bucket refills from: without it every frame after each
+  // shard's first 64 KB would read as out of profile. 4,096 64-B frames
+  // (256 KB) are far below the default 1.25 GB/s, so a marking shaper
+  // marks nothing and a policing one delivers every frame.
+  const auto frames = make_flow_frames(4'096, 64, 64);
+  for (const bool policing : {false, true}) {
+    for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
+      SCOPED_TRACE(std::string(exec_mode_name(mode)) +
+                   (policing ? " policing" : " marking"));
+      std::vector<const TrafficShaper*> shapers;
+      const auto factory =
+          [&](const StageNf&) -> std::unique_ptr<NetworkFunction> {
+        auto shaper = std::make_unique<TrafficShaper>(1'250'000'000,
+                                                      64 * 1024, policing);
+        shapers.push_back(shaper.get());
+        return shaper;
+      };
+      ShardedDataplaneOptions opts;
+      opts.shards = 2;
+      opts.pipeline.exec_mode = mode;
+      ShardedDataplane dp({compile_chain({"shaper"})}, factory, opts);
+      const ShardedResult res = dp.run(frames);
+      ASSERT_TRUE(res.status.is_ok());
+      EXPECT_EQ(res.outputs.size(), frames.size());
+      EXPECT_EQ(res.dropped, 0u);
+      ASSERT_EQ(shapers.size(), dp.shard_count());
+      u64 out_of_profile = 0;
+      for (const TrafficShaper* shaper : shapers) {
+        out_of_profile += shaper->out_of_profile();
+      }
+      EXPECT_EQ(out_of_profile, 0u);
     }
   }
 }

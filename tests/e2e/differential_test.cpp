@@ -12,8 +12,9 @@
 // rtc must also agree on the drop totals per reason.
 //
 // NFs come from PairEquivalence's set minus the shaper: its token bucket
-// reads inject_time, which the simulator stamps and the live planes leave
-// at 0, so its verdicts differ between planes by design.
+// reads inject_time, which is simulated time on the simulator and wall
+// clock on the live planes, so its verdicts differ between planes by
+// design.
 #include <gtest/gtest.h>
 
 #include <algorithm>

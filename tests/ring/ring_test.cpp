@@ -1,5 +1,6 @@
-// SPSC ring correctness: single-threaded semantics plus a 2-thread
-// stress test for the acquire/release protocol.
+// SPSC ring correctness: single-threaded semantics, the per-slot stamp
+// protocol across laps, and multi-thread stress tests for its
+// acquire/release pairing.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -201,6 +202,156 @@ TEST(SpscRing, TwoThreadStress) {
   for (int i = 0; i < kCount; ++i) {
     ASSERT_EQ(received[static_cast<std::size_t>(i)], i) << "order violated";
   }
+}
+
+// Every slot of a capacity-4 ring is reused at every lap, so a stamp from
+// an earlier lap must never read as published. A random mix of single and
+// burst operations (bursts up to 5, past the capacity) runs 10^5 laps,
+// filling and emptying the ring over and over; FIFO order, size() and
+// full_events() stay exact at every step.
+TEST(SpscRing, StampsNeverAliasAcrossLaps) {
+  SpscRing<u64> ring(4);
+  constexpr u64 kLaps = 100'000;
+  u64 rng = 0x243F6A8885A308D3ull;
+  u64 next_in = 0;
+  u64 next_out = 0;
+  u64 expected_full = 0;
+  u64 empty_pops = 0;
+  std::array<u64, 5> staged{};
+  std::array<u64, 5> popped{};
+  while (next_out < kLaps * ring.capacity()) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    const std::size_t want = 1 + (rng >> 8) % staged.size();
+    const std::size_t before = ring.size();
+    ASSERT_EQ(before, next_in - next_out);
+    switch (rng % 4) {
+      case 0: {
+        for (std::size_t i = 0; i < want; ++i) staged[i] = next_in + i;
+        const std::size_t pushed =
+            ring.push_burst(std::span<const u64>(staged.data(), want));
+        ASSERT_EQ(pushed, std::min(want, ring.capacity() - before));
+        if (pushed == 0) ++expected_full;
+        next_in += pushed;
+        break;
+      }
+      case 1: {
+        const bool pushed = ring.push(next_in);
+        ASSERT_EQ(pushed, before < ring.capacity());
+        if (pushed) {
+          ++next_in;
+        } else {
+          ++expected_full;
+        }
+        break;
+      }
+      case 2: {
+        u64 v = 0;
+        const bool got = ring.pop(v);
+        ASSERT_EQ(got, before > 0);
+        if (got) {
+          ASSERT_EQ(v, next_out++);
+        } else {
+          ++empty_pops;
+        }
+        break;
+      }
+      default: {
+        const std::size_t n =
+            ring.pop_burst(std::span<u64>(popped.data(), want));
+        ASSERT_EQ(n, std::min(want, before));
+        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(popped[i], next_out++);
+        break;
+      }
+    }
+    ASSERT_EQ(ring.full_events(), expected_full);
+    ASSERT_EQ(ring.empty(), next_in == next_out);
+  }
+  EXPECT_GT(expected_full, 0u);
+  EXPECT_GT(empty_pops, 0u);
+}
+
+// A 56-byte value fills a one-line slot with its stamp. The producer
+// publishes 10^6 of them, the consumer checks each one's sequence number
+// and checksum (a torn or early read fails), and a third thread scrapes
+// size() throughout. (Runs under TSan in CI.)
+TEST(SpscRing, WideValuesArriveWholeUnderConcurrentScrape) {
+  struct Item {
+    u64 seq = 0;
+    std::array<u64, 5> body{};
+    u64 checksum = 0;
+  };
+  static_assert(sizeof(Item) == 56);
+  const auto make = [](u64 seq) {
+    Item item;
+    item.seq = seq;
+    u64 sum = seq;
+    for (std::size_t i = 0; i < item.body.size(); ++i) {
+      item.body[i] = seq * 0x9E3779B97F4A7C15ull + i;
+      sum ^= item.body[i] + (sum << 6) + (sum >> 2);
+    }
+    item.checksum = sum;
+    return item;
+  };
+  constexpr u64 kCount = 1'000'000;
+  SpscRing<Item> ring(64);
+  std::atomic<bool> done{false};
+  std::atomic<bool> oversize{false};
+
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (ring.size() > ring.capacity()) oversize.store(true);
+    }
+  });
+  // Mismatches are counted, not asserted, so a failure cannot strand the
+  // producer on a full ring.
+  u64 bad = 0;
+  std::thread consumer([&] {
+    std::array<Item, 7> buf{};
+    u64 expect = 0;
+    while (expect < kCount) {
+      std::size_t n = 0;
+      if (expect % 2 == 0) {
+        n = ring.pop_burst(buf);
+      } else if (ring.pop(buf[0])) {
+        n = 1;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const Item want = make(expect++);
+        if (buf[i].seq != want.seq || buf[i].body != want.body ||
+            buf[i].checksum != want.checksum) {
+          ++bad;
+        }
+      }
+    }
+  });
+
+  std::array<Item, 5> staged{};
+  for (u64 next = 0; next < kCount;) {
+    if (next % 3 == 0) {
+      while (!ring.push(make(next))) std::this_thread::yield();
+      ++next;
+      continue;
+    }
+    const std::size_t len =
+        static_cast<std::size_t>(std::min<u64>(staged.size(), kCount - next));
+    for (std::size_t i = 0; i < len; ++i) staged[i] = make(next + i);
+    std::size_t sent = 0;
+    while (sent < len) {
+      const std::size_t m = ring.push_burst(
+          std::span<const Item>(staged.data() + sent, len - sent));
+      if (m == 0) std::this_thread::yield();
+      sent += m;
+    }
+    next += len;
+  }
+  consumer.join();
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_EQ(bad, 0u) << "torn, early or reordered values";
+  EXPECT_FALSE(oversize.load()) << "size() exceeded capacity";
+  EXPECT_EQ(ring.size(), 0u);
 }
 
 TEST(MpmcQueue, BasicPushPop) {

@@ -24,7 +24,7 @@
 //    "pps":...,"mf_hit_rate":...,"scaling_vs_1shard":...,
 //    "attribution":{"useful":...,...,"top_contention_source":"..."}}
 // scaling_vs_1shard is relative to the same (shape, mode) at 1 shard. The
-// attribution block is the ScalabilityProfiler's aggregate bucket shares
+// attribution block is the observatory's aggregate bucket shares
 // for the run — the answer to *where* sub-linear series lost their pps.
 // scripts/check_hotpath_regression.py --bench shard_scaling compares pps
 // against bench/baselines/BENCH_shard_scaling.json in CI.
@@ -42,7 +42,7 @@
 #include "common/cpu_affinity.hpp"
 #include "dataplane/sharded_dataplane.hpp"
 #include "packet/builder.hpp"
-#include "telemetry/scalability_profiler.hpp"
+#include "telemetry/observatory.hpp"
 #include "trafficgen/trafficgen.hpp"
 
 namespace nfp {
@@ -110,8 +110,8 @@ RunResult run_series(const Shape& shape, ExecMode mode, std::size_t shards,
   // Registered before start() (inside run()) so every accounting thread is
   // covered; spawn cost stays in the measured window exactly as before so
   // the pps series remains comparable with its baseline.
-  telemetry::ScalabilityProfiler profiler;
-  dp.register_scalability(profiler);
+  telemetry::Observatory observatory;
+  dp.register_observatory(observatory);
 
   const auto t0 = std::chrono::steady_clock::now();
   const ShardedResult result = dp.run(frames);
@@ -119,7 +119,7 @@ RunResult run_series(const Shape& shape, ExecMode mode, std::size_t shards,
   if (!result.status.is_ok()) {
     std::fprintf(stderr, "BUG: %s\n", result.status.message().c_str());
   }
-  const telemetry::ScalabilityReport rep = profiler.report();
+  const telemetry::ScalabilityReport rep = observatory.report().scalability;
 
   RunResult r;
   r.seconds = std::chrono::duration<double>(t1 - t0).count();

@@ -25,7 +25,7 @@
 //                                         stage-resolved latency-reduction
 //                                         table (p50/p99/p99.9 per stage)
 //   nfp_cli flows [policy] [opts]         run a zipf elephant/mice workload
-//                                         and print the flow observatory's
+//                                         and print the flow view's
 //                                         merged top-K heavy hitters, flow
 //                                         churn and per-reason drop
 //                                         attribution (--pool=N for a
@@ -48,7 +48,7 @@
 //   --skew=uniform|zipf  flow-popularity model (default uniform)
 //   --size=BYTES       frame size (default 256)
 //   --serve=PORT       stream waves forever and serve /metrics,
-//                      /timeseries.json, /latency.json, /healthz —
+//                      /timeseries.json, /observatory.json, /healthz —
 //                      `nfp_cli top` then shows per-shard pps, core
 //                      utilization and stage latency live
 //   --lat-every=N      sample every-Nth flow for stage latency (default 8
@@ -85,6 +85,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -104,10 +105,8 @@
 #include "policy/parser.hpp"
 #include "telemetry/critical_path.hpp"
 #include "telemetry/exporters.hpp"
-#include "telemetry/flow_observatory.hpp"
 #include "telemetry/health_sampler.hpp"
-#include "telemetry/latency_observatory.hpp"
-#include "telemetry/scalability_profiler.hpp"
+#include "telemetry/observatory.hpp"
 #include "telemetry/stats_server.hpp"
 #include "telemetry/timeseries.hpp"
 #include "dataplane/tuple_space_classifier.hpp"
@@ -183,6 +182,43 @@ void interruptible_sleep_ms(u64 ms) {
   }
 }
 
+// Serves `sources` on 127.0.0.1:`port` and runs `wave` every ~200 ms
+// until Ctrl-C, with `collector` (and `sampler`, when given) ticking in
+// the background; `banner` announces the bound port. `waves` counts the
+// waves already run. Returns the exit code: 1 when the server cannot
+// start.
+int serve_waves(const telemetry::EndpointSources& sources, u64 port,
+                telemetry::TimeseriesCollector& collector,
+                telemetry::HealthSampler* sampler,
+                const std::function<void(unsigned port)>& banner,
+                const std::function<void(u64 waves)>& wave, u64 waves) {
+  telemetry::StatsServer server;
+  telemetry::register_standard_endpoints(server, sources);
+  telemetry::StatsServer::Options server_options;
+  server_options.port = static_cast<std::uint16_t>(port);
+  if (const Status started = server.start(server_options); !started) {
+    std::fprintf(stderr, "error: %s\n", started.message().c_str());
+    return 1;
+  }
+  banner(server.port());
+  std::fflush(stdout);
+
+  install_stop_handler();
+  if (sampler != nullptr) sampler->start();
+  collector.start();
+  for (; g_stop == 0; ++waves) {
+    wave(waves);
+    interruptible_sleep_ms(200);
+  }
+  collector.stop();
+  if (sampler != nullptr) sampler->stop();
+  server.stop();
+  std::printf("\nstopped after %llu waves; served %llu requests\n",
+              static_cast<unsigned long long>(waves),
+              static_cast<unsigned long long>(server.requests_served()));
+  return 0;
+}
+
 // Everything serve mode needs from whichever dataplane the caller built.
 struct ServeSources {
   sim::Simulator* sim = nullptr;
@@ -214,21 +250,23 @@ int serve_loop(const ServeSources& src, u64 port, u64 packets,
   watchdog.watch_pool("pool", [pool = src.pool] { return pool->in_use(); },
                       src.pool->capacity());
 
-  // First wave before the server comes up: primes every metric series (so
-  // the per-NF probes below can discover components) and seeds the tracer.
-  {
+  const auto wave = [&](u64 waves) {
     std::lock_guard<std::mutex> lock(mu);
     TrafficConfig traffic;
     traffic.fixed_size = frame_size;
     traffic.rate_pps = rate_pps;
     traffic.packets = packets;
+    traffic.seed = 42 + waves;  // vary flows across waves
     traffic.metrics = src.metrics;
     TrafficGenerator gen(*src.sim, *src.pool, traffic);
     gen.start([&](Packet* p) { src.inject(p); });
     src.sim->run();
     src.snapshot();
     watchdog.evaluate();
-  }
+  };
+  // First wave before the server comes up: primes every metric series (so
+  // the per-NF probes below can discover components) and seeds the tracer.
+  wave(0);
 
   telemetry::TimeseriesCollector::Options ts_options;
   ts_options.period_ms = 500;
@@ -269,7 +307,6 @@ int serve_loop(const ServeSources& src, u64 port, u64 packets,
     }
   }
 
-  telemetry::StatsServer server;
   telemetry::EndpointSources sources;
   sources.registry = src.metrics;
   sources.tracer = src.tracer;
@@ -277,50 +314,36 @@ int serve_loop(const ServeSources& src, u64 port, u64 packets,
   sources.watchdog = &watchdog;
   sources.timeseries = &collector;
   sources.mu = &mu;
-  telemetry::register_standard_endpoints(server, sources);
+  const auto banner = [](unsigned bound) {
+    std::printf(
+        "serving on http://127.0.0.1:%u — /metrics /metrics.json "
+        "/timeseries.json\n/profile.json /recorder.json /trace.json "
+        "/healthz — Ctrl-C to stop\n",
+        bound);
+  };
+  return serve_waves(sources, port, collector, nullptr, banner, wave, 1);
+}
 
-  telemetry::StatsServer::Options server_options;
-  server_options.port = static_cast<std::uint16_t>(port);
-  const Status started = server.start(server_options);
-  if (!started) {
-    std::fprintf(stderr, "error: %s\n", started.message().c_str());
-    return 1;
+// The graph's NF names in segment order: the sequential chain that the
+// ONV/RTC baselines and `nfp_cli latency` compare against.
+std::vector<std::string> nf_chain(const ServiceGraph& graph) {
+  std::vector<std::string> chain;
+  for (const Segment& seg : graph.segments()) {
+    for (const StageNf& nf : seg.nfs) chain.push_back(nf.name);
   }
-  std::printf(
-      "serving on http://127.0.0.1:%u — /metrics /metrics.json "
-      "/timeseries.json\n/profile.json /recorder.json /trace.json "
-      "/healthz — Ctrl-C to stop\n",
-      static_cast<unsigned>(server.port()));
-  std::fflush(stdout);
+  return chain;
+}
 
-  install_stop_handler();
-  collector.start();
-  u64 waves = 1;
-  while (g_stop == 0) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      TrafficConfig traffic;
-      traffic.fixed_size = frame_size;
-      traffic.rate_pps = rate_pps;
-      traffic.packets = packets;
-      traffic.seed = 42 + waves;  // vary flows across waves
-      traffic.metrics = src.metrics;
-      TrafficGenerator gen(*src.sim, *src.pool, traffic);
-      gen.start([&](Packet* p) { src.inject(p); });
-      src.sim->run();
-      src.snapshot();
-      watchdog.evaluate();
-    }
-    ++waves;
-    interruptible_sleep_ms(200);
+// Pass-all firewall factory shared by every dataplane the CLI builds
+// (synthetic ACL rules would drop traffic-dependent subsets and obscure
+// the per-component view).
+std::unique_ptr<NetworkFunction> pass_all_factory(const StageNf& nf) {
+  if (nf.name == "firewall") {
+    AclTable acl;
+    acl.set_default_action(AclAction::kPass);
+    return std::make_unique<Firewall>(std::move(acl));
   }
-
-  collector.stop();
-  server.stop();
-  std::printf("\nstopped after %llu waves; served %llu requests\n",
-              static_cast<unsigned long long>(waves),
-              static_cast<unsigned long long>(server.requests_served()));
-  return 0;
+  return make_builtin_nf(nf.name, static_cast<u64>(nf.instance_id) + 1);
 }
 
 int run_dataplane(const ServiceGraph& graph, int argc, char** argv) {
@@ -358,16 +381,7 @@ int run_dataplane(const ServiceGraph& graph, int argc, char** argv) {
   sim::Simulator sim;
   DataplaneConfig cfg;
   cfg.trace_every = trace_every;
-  // Pass-all firewalls: synthetic ACL rules would drop traffic-dependent
-  // subsets of the flows and obscure the per-component view.
-  cfg.factory = [](const StageNf& nf) -> std::unique_ptr<NetworkFunction> {
-    if (nf.name == "firewall") {
-      AclTable acl;
-      acl.set_default_action(AclAction::kPass);
-      return std::make_unique<Firewall>(std::move(acl));
-    }
-    return make_builtin_nf(nf.name, static_cast<u64>(nf.instance_id) + 1);
-  };
+  cfg.factory = pass_all_factory;
   NfpDataplane dp(sim, graph, std::move(cfg));
 
   if (serve_port != 0) {
@@ -446,17 +460,6 @@ bool resolve_mode_flag(const std::string& text, ExecMode* out) {
   std::fprintf(stderr, "unknown mode '%s' (pipelined|rtc|auto)\n",
                text.c_str());
   return false;
-}
-
-// Pass-all firewall factory shared by run/profile (synthetic ACL rules
-// would drop traffic-dependent subsets and obscure the per-component view).
-std::unique_ptr<NetworkFunction> pass_all_factory(const StageNf& nf) {
-  if (nf.name == "firewall") {
-    AclTable acl;
-    acl.set_default_action(AclAction::kPass);
-    return std::make_unique<Firewall>(std::move(acl));
-  }
-  return make_builtin_nf(nf.name, static_cast<u64>(nf.instance_id) + 1);
 }
 
 // --- nfp_cli live: the sharded multi-core dataplane on real threads -----
@@ -720,63 +723,35 @@ int live_dataplane(const ServiceGraph& graph, int argc, char** argv) {
 
   // Constructed before start() so perf_event's inherit flag covers the
   // dataplane threads about to spawn.
-  telemetry::ScalabilityProfiler profiler;
-  dp.register_scalability(profiler);
-  profiler.register_probes(collector);
-
-  telemetry::LatencyObservatory::Options lat_options;
-  lat_options.sample_every = opts.pipeline.latency_sample_every;
-  telemetry::LatencyObservatory latency_obs(lat_options);
-  dp.register_latency(latency_obs);
-  latency_obs.register_probes(collector);
-
-  telemetry::FlowObservatory flow_obs;
-  dp.register_flows(flow_obs);
-  flow_obs.register_probes(collector);
+  telemetry::Observatory observatory;
+  dp.register_observatory(observatory);
+  observatory.register_probes(collector);
 
   if (const Status st = dp.start(); !st.is_ok()) {
     std::fprintf(stderr, "error: %s\n", st.message().c_str());
     return 1;
   }
-  profiler.reset_baseline();
-  latency_obs.reset_baseline();
-  flow_obs.reset_baseline();
+  observatory.reset_baseline();
 
-  telemetry::StatsServer server;
   telemetry::EndpointSources sources;
   sources.registry = &registry;
   sources.recorder = &recorder;
   sources.watchdog = &watchdog;
   sources.timeseries = &collector;
-  sources.scalability = &profiler;
-  sources.latency = &latency_obs;
-  sources.flows = &flow_obs;
+  sources.observatory = &observatory;
   sources.mu = &mu;
-  telemetry::register_standard_endpoints(server, sources);
-  telemetry::StatsServer::Options server_options;
-  server_options.port = static_cast<std::uint16_t>(serve_port);
-  if (const Status started = server.start(server_options); !started) {
-    std::fprintf(stderr, "error: %s\n", started.message().c_str());
-    return 1;
-  }
-  std::printf("live dataplane: %zu shards (%zu online CPUs, mode=%s) "
-              "serving on http://127.0.0.1:%u — /metrics /timeseries.json "
-              "/scalability.json /latency.json /flows.json /healthz — "
-              "`nfp_cli top --port=%u` for the dashboard, Ctrl-C to stop\n",
-              dp.shard_count(), online_cpu_count(),
-              exec_mode_name(dp.exec_mode()),
-              static_cast<unsigned>(server.port()),
-              static_cast<unsigned>(server.port()));
-  std::fflush(stdout);
-
-  install_stop_handler();
-  sampler.start();
-  collector.start();
-
+  const auto banner = [&dp](unsigned bound) {
+    std::printf("live dataplane: %zu shards (%zu online CPUs, mode=%s) "
+                "serving on http://127.0.0.1:%u — /metrics "
+                "/timeseries.json /observatory.json /scalability.json "
+                "/latency.json /flows.json /healthz — `nfp_cli top "
+                "--port=%u` for the dashboard, Ctrl-C to stop\n",
+                dp.shard_count(), online_cpu_count(),
+                exec_mode_name(dp.exec_mode()), bound, bound);
+  };
   std::vector<u64> last_delivered(dp.shard_count(), 0);
   u64 last_dropped = 0;
-  u64 waves = 0;
-  while (g_stop == 0) {
+  const auto wave = [&](u64) {
     for (const auto& frame : frames) {
       if (g_stop != 0) break;
       dp.feed({frame.data(), frame.size()});
@@ -800,17 +775,13 @@ int live_dataplane(const ServiceGraph& graph, int argc, char** argv) {
     dropped_total.inc(dropped_now >= last_dropped ? dropped_now - last_dropped
                                                   : dropped_now);
     last_dropped = dropped_now;
-    ++waves;
-    interruptible_sleep_ms(200);
+  };
+  if (const int rc = serve_waves(sources, serve_port, collector, &sampler,
+                                 banner, wave, 0);
+      rc != 0) {
+    return rc;
   }
-
-  collector.stop();
-  sampler.stop();
-  server.stop();
   const ShardedResult res = dp.drain();
-  std::printf("\nstopped after %llu waves; served %llu requests\n",
-              static_cast<unsigned long long>(waves),
-              static_cast<unsigned long long>(server.requests_served()));
   print_live_summary(dp, res, 0, injected.value.load());
   return res.status.is_ok() ? 0 : 1;
 }
@@ -859,10 +830,7 @@ int profile_dataplane(const ServiceGraph& graph, int argc, char** argv) {
   cfg.factory = pass_all_factory;
 
   // ONV/RTC run the graph's NFs as one sequential chain.
-  std::vector<std::string> chain;
-  for (const Segment& seg : graph.segments()) {
-    for (const StageNf& nf : seg.nfs) chain.push_back(nf.name);
-  }
+  const std::vector<std::string> chain = nf_chain(graph);
 
   std::unique_ptr<NfpDataplane> nfp_dp;
   std::unique_ptr<baseline::OnvDataplane> onv_dp;
@@ -973,15 +941,15 @@ int profile_dataplane(const ServiceGraph& graph, int argc, char** argv) {
 
 // --- nfp_cli top: live dashboard over /timeseries.json + /healthz -------
 
-// One /scalability.json shard row: where its accounted time went.
+// One scalability-view shard row: where its accounted time went.
 struct TopShardAttribution {
   std::string name;
-  std::array<double, 6> share{};  // useful..classifier_miss (bucket order)
+  std::array<double, telemetry::kCycleBucketCount> share{};  // bucket order
   double pps = 0;
   double projected_pps = 0;
 };
 
-// One /latency.json stage row (folded across shards).
+// One latency-view stage row (folded across shards).
 struct TopLatencyStage {
   std::string name;
   double p50_us = 0;
@@ -991,7 +959,7 @@ struct TopLatencyStage {
   u64 count = 0;
 };
 
-// One /flows.json heavy-hitter row (cross-shard merged).
+// One flow-view heavy-hitter row (cross-shard merged).
 struct TopFlowRow {
   std::string flow;  // rendered 5-tuple
   double packets = 0;
@@ -1013,18 +981,15 @@ struct TopView {
   std::map<std::string, double> p999_ns;    // nf -> nf_service_ns:p999
   std::map<std::string, double> bn_share;   // nf -> bottleneck share
   std::vector<double> out_history;          // delivered pps points
-  // Filled from /scalability.json when the server exposes it (the sharded
-  // live dataplane); empty otherwise — the panel is simply omitted.
+  // Filled from /observatory.json when the server exposes it (the sharded
+  // live dataplane); empty otherwise — the panels are simply omitted.
   std::vector<TopShardAttribution> shard_attrib;
   std::string top_contention;
-  // Filled from /latency.json when served; empty otherwise.
   std::vector<TopLatencyStage> latency_stages;
   u64 latency_sampled = 0;
   u64 latency_sample_every = 0;
   double latency_queue_depth = 0;
   double latency_ingest_depth = 0;
-  // Filled from /flows.json when served; empty otherwise — the flows
-  // panel is simply omitted.
   std::vector<TopFlowRow> top_flows;
   double flows_active = 0;
   double flow_packets = 0;
@@ -1074,13 +1039,8 @@ TopView parse_top_view(const json::Value& doc) {
   return view;
 }
 
-// Folds /scalability.json (when present) into the view. Tolerates the
-// endpoint being absent: servers without a sharded dataplane 404 and the
-// attribution panel is skipped.
+// Folds /observatory.json's scalability section into the view.
 void parse_scalability_view(const json::Value& doc, TopView* view) {
-  static const char* kBuckets[] = {"useful",    "starved",   "ring_wait",
-                                   "pool_wait", "merge_wait",
-                                   "classifier_miss"};
   view->top_contention =
       std::string(doc.string_or("top_contention_source", ""));
   const json::Value* shards = doc.find("shards");
@@ -1091,20 +1051,18 @@ void parse_scalability_view(const json::Value& doc, TopView* view) {
     row.pps = s.number_or("pps", 0);
     row.projected_pps = s.number_or("projected_pps", 0);
     if (const json::Value* shares = s.find("shares"); shares != nullptr) {
-      for (std::size_t b = 0; b < 6; ++b) {
-        row.share[b] = shares->number_or(kBuckets[b], 0);
+      for (std::size_t b = 0; b < row.share.size(); ++b) {
+        const auto bucket = static_cast<telemetry::CycleBucket>(b);
+        row.share[b] =
+            shares->number_or(telemetry::cycle_bucket_name(bucket), 0);
       }
     }
     view->shard_attrib.push_back(std::move(row));
   }
 }
 
-// Folds /latency.json (when present) into the view; absent on servers
-// without a latency observatory (or with sampling off), which 404 — the
-// latency panel is then skipped.
+// Folds /observatory.json's latency section into the view.
 void parse_latency_view(const json::Value& doc, TopView* view) {
-  static const char* kStages[] = {"ingest", "queue",  "service",
-                                  "merge_wait", "egress", "total"};
   view->latency_sampled = static_cast<u64>(doc.number_or("sampled", 0));
   view->latency_sample_every =
       static_cast<u64>(doc.number_or("sample_every", 0));
@@ -1114,7 +1072,9 @@ void parse_latency_view(const json::Value& doc, TopView* view) {
   view->latency_ingest_depth = total->number_or("ingest_queue_depth", 0);
   const json::Value* stages = total->find("stages");
   if (stages == nullptr) return;
-  for (const char* name : kStages) {
+  for (std::size_t i = 0; i < telemetry::kLatencyStageCount; ++i) {
+    const char* name =
+        telemetry::latency_stage_name(static_cast<telemetry::LatencyStage>(i));
     const json::Value* s = stages->find(name);
     if (s == nullptr) continue;
     TopLatencyStage row;
@@ -1128,8 +1088,7 @@ void parse_latency_view(const json::Value& doc, TopView* view) {
   }
 }
 
-// Folds /flows.json (when present) into the view; absent on servers
-// without a flow observatory, which 404 — the flows panel is skipped.
+// Folds /observatory.json's flows section into the view.
 void parse_flows_view(const json::Value& doc, TopView* view) {
   view->flows_active = doc.number_or("flows_active", 0);
   view->flow_packets = doc.number_or("packets", 0);
@@ -1144,11 +1103,10 @@ void parse_flows_view(const json::Value& doc, TopView* view) {
       view->top_flows.push_back(std::move(row));
     }
   }
-  static const char* kReasons[] = {"ring_full",       "pool_exhausted",
-                                   "nf_verdict",      "classifier_miss",
-                                   "merge_overflow",  "shutdown_drain"};
   if (const json::Value* drops = doc.find("drops"); drops != nullptr) {
-    for (const char* reason : kReasons) {
+    for (std::size_t r = 0; r < telemetry::kDropReasonCount; ++r) {
+      const char* reason =
+          telemetry::drop_reason_name(static_cast<telemetry::DropReason>(r));
       const double n = drops->number_or(reason, 0);
       if (n > 0) view->flow_drops[reason] = n;
     }
@@ -1251,7 +1209,7 @@ void render_top(const TopView& view, const std::string& health_body,
     std::printf("\n");
   }
 
-  // Stage-resolved tail latency (only when /latency.json is served with
+  // Stage-resolved tail latency (only when the observatory is served with
   // sampling enabled and at least one sampled packet has completed).
   if (!view.latency_stages.empty() && view.latency_sampled > 0) {
     std::printf("\n  latency (sampled 1/%llu flows, %llu samples)   "
@@ -1269,7 +1227,7 @@ void render_top(const TopView& view, const std::string& health_body,
     }
   }
 
-  // Heavy hitters + drop taxonomy (only when /flows.json is served).
+  // Heavy hitters + drop taxonomy (only when the observatory is served).
   if (!view.top_flows.empty()) {
     std::printf("\n  top flows (%.0f active)\n", view.flows_active);
     std::printf("  %-4s %-34s %10s %12s %7s\n", "#", "flow", "packets",
@@ -1291,7 +1249,7 @@ void render_top(const TopView& view, const std::string& health_body,
     std::printf("\n");
   }
 
-  // Per-shard cycle attribution (only when /scalability.json is served).
+  // Per-shard cycle attribution (only when the observatory is served).
   if (!view.shard_attrib.empty()) {
     std::printf("\n  %-10s %10s %10s %7s %7s %7s %7s %7s %7s\n", "shard",
                 "pps", "proj pps", "useful", "starve", "ring", "pool",
@@ -1299,8 +1257,8 @@ void render_top(const TopView& view, const std::string& health_body,
     for (const TopShardAttribution& row : view.shard_attrib) {
       std::printf("  %-10s %10.0f %10.0f", row.name.c_str(), row.pps,
                   row.projected_pps);
-      for (std::size_t b = 0; b < 6; ++b) {
-        std::printf(" %6.1f%%", 100.0 * row.share[b]);
+      for (const double share : row.share) {
+        std::printf(" %6.1f%%", 100.0 * share);
       }
       std::printf("\n");
     }
@@ -1369,28 +1327,20 @@ int top_command(int argc, char** argv) {
         }
       }
     }
-    // Optional: per-shard attribution. Older / non-sharded servers 404.
-    if (auto scal = telemetry::http_get(static_cast<std::uint16_t>(port),
-                                        "/scalability.json");
-        scal && scal.value().status == 200) {
-      if (const auto sdoc = json::Value::parse(scal.value().body); sdoc) {
-        parse_scalability_view(sdoc.value(), &view);
-      }
-    }
-    // Optional: stage latency. Servers without an observatory 404.
-    if (auto lat = telemetry::http_get(static_cast<std::uint16_t>(port),
-                                       "/latency.json");
-        lat && lat.value().status == 200) {
-      if (const auto ldoc = json::Value::parse(lat.value().body); ldoc) {
-        parse_latency_view(ldoc.value(), &view);
-      }
-    }
-    // Optional: heavy hitters + drop taxonomy. Absent servers 404.
-    if (auto flows = telemetry::http_get(static_cast<std::uint16_t>(port),
-                                         "/flows.json");
-        flows && flows.value().status == 200) {
-      if (const auto fdoc = json::Value::parse(flows.value().body); fdoc) {
-        parse_flows_view(fdoc.value(), &view);
+    // Optional: the observatory's three views, from one report so the
+    // panels agree. Servers without a sharded dataplane 404.
+    if (auto obs = telemetry::http_get(static_cast<std::uint16_t>(port),
+                                       "/observatory.json");
+        obs && obs.value().status == 200) {
+      if (const auto odoc = json::Value::parse(obs.value().body); odoc) {
+        for (const auto& [section, parse] :
+             {std::pair{"scalability", &parse_scalability_view},
+              std::pair{"latency", &parse_latency_view},
+              std::pair{"flows", &parse_flows_view}}) {
+          if (const json::Value* v = odoc.value().find(section)) {
+            parse(*v, &view);
+          }
+        }
       }
     }
     render_top(view, health ? health.value().body : std::string(),
@@ -1415,26 +1365,6 @@ Result<ServiceGraph> load_and_compile(const std::string& path,
   return compile_policy(policy.value(), table, {}, report);
 }
 
-// --- nfp_cli scalability: shard-sweep with lost-pps attribution ---------
-
-// The default workload when no policy file is given: 4 parallel monitors
-// with per-branch copies and a 4-arrival merge — the shape whose 2-shard
-// scaling loss motivated the profiler (BENCH_shard_scaling.json par4).
-ServiceGraph make_scalability_par4() {
-  ServiceGraph g("par4");
-  Segment seg;
-  seg.mid = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    seg.nfs.push_back(StageNf{"monitor", static_cast<int>(i),
-                              static_cast<u8>(i + 1), static_cast<int>(i),
-                              false});
-  }
-  seg.num_versions = 4;
-  seg.merge.total_count = 4;
-  g.segments().push_back(std::move(seg));
-  return g;
-}
-
 std::vector<std::size_t> parse_shard_list(const std::string& text) {
   std::vector<std::size_t> out;
   std::stringstream ss(text);
@@ -1446,17 +1376,32 @@ std::vector<std::size_t> parse_shard_list(const std::string& text) {
   return out;
 }
 
-int scalability_command(int argc, char** argv) {
-  std::vector<std::size_t> shard_counts = {1, 2, 4};
+// --- nfp_cli scalability | latency | flows: one observed live run -------
+
+// The flags scalability, latency and flows share. Each command sets its
+// own defaults before parsing; `mode` is parsed only by commands that
+// take --mode.
+struct LiveRunArgs {
+  // Without a policy file: 4 parallel monitors with per-branch copies and
+  // a 4-arrival merge — the shape whose 2-shard scaling loss motivated the
+  // scalability view (BENCH_shard_scaling.json par4).
+  ServiceGraph graph = ServiceGraph::parallel(
+      "par4", {"monitor", "monitor", "monitor", "monitor"}, {1, 2, 3, 4});
   u64 packets = 20'000;
   u64 flows = 64;
   u64 frame_size = 256;
   std::string skew = "uniform";
   std::string mode = "auto";
-  bool want_json = false;
+  ExecMode exec_mode = ExecMode::kAuto;  // `mode`, resolved
+  bool json = false;
+};
 
-  // Optional policy file directly after the command; flags otherwise.
-  ServiceGraph graph = make_scalability_par4();
+// Parses `nfp_cli <command> [policy-file] [flags]`: the optional policy
+// file, --packets, --flows, --size, --skew and --json, and every flag
+// `extra` accepts. Returns 0 to go on, otherwise the exit code.
+int parse_live_run_args(int argc, char** argv, const char* command,
+                        LiveRunArgs* args,
+                        const std::function<bool(const char*)>& extra) {
   int first_flag = 2;
   if (argc > 2 && argv[2][0] != '-') {
     CompileReport report;
@@ -1465,103 +1410,136 @@ int scalability_command(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", compiled.error().c_str());
       return 1;
     }
-    graph = compiled.value();
+    args->graph = compiled.value();
     first_flag = 3;
   }
   for (int i = first_flag; i < argc; ++i) {
     const char* arg = argv[i];
-    std::string shard_list;
     if (std::strcmp(arg, "--json") == 0) {
-      want_json = true;
-    } else if (flag_string(arg, "--shards", &shard_list)) {
-      shard_counts = parse_shard_list(shard_list);
-      if (shard_counts.empty()) {
-        std::fprintf(stderr, "bad --shards list '%s'\n", shard_list.c_str());
-        return usage();
-      }
-    } else if (flag_value(arg, "--packets", &packets) ||
-               flag_value(arg, "--flows", &flows) ||
-               flag_value(arg, "--size", &frame_size) ||
-               flag_string(arg, "--skew", &skew) ||
-               flag_string(arg, "--mode", &mode)) {
-      // parsed into the matching variable
-    } else {
-      std::fprintf(stderr, "unknown scalability option '%s'\n", arg);
+      args->json = true;
+    } else if (!flag_value(arg, "--packets", &args->packets) &&
+               !flag_value(arg, "--flows", &args->flows) &&
+               !flag_value(arg, "--size", &args->frame_size) &&
+               !flag_string(arg, "--skew", &args->skew) && !extra(arg)) {
+      std::fprintf(stderr, "unknown %s option '%s'\n", command, arg);
       return usage();
     }
   }
-  if (skew != "uniform" && skew != "zipf") {
-    std::fprintf(stderr, "unknown skew '%s' (uniform|zipf)\n", skew.c_str());
+  if (args->skew != "uniform" && args->skew != "zipf") {
+    std::fprintf(stderr, "unknown skew '%s' (uniform|zipf)\n",
+                 args->skew.c_str());
     return usage();
   }
-  ExecMode exec_mode = ExecMode::kAuto;
-  if (!resolve_mode_flag(mode, &exec_mode)) return usage();
-  if (packets == 0) packets = 1;
-  if (flows == 0) flows = 1;
+  if (!resolve_mode_flag(args->mode, &args->exec_mode)) return usage();
+  if (args->packets == 0) args->packets = 1;
+  if (args->flows == 0) args->flows = 1;
+  return 0;
+}
 
-  const auto frames =
-      make_live_frames(packets, flows, skew == "zipf", frame_size);
+// What one observed run hands back: the observatory's report and the
+// execution mode the plane resolved.
+struct ObservedRun {
+  telemetry::ObservatoryReport report;
+  ExecMode mode = ExecMode::kAuto;
+};
 
-  if (!want_json) {
+// One observed live run of `graph`: build the plane, register the
+// observatory, start, reset its baseline, feed every frame, wait until
+// each is delivered or dropped, report, drain. The report comes before
+// drain() joins the workers, so its wall window matches the one the
+// threads accounted. Prints the error and returns nullopt on failure.
+std::optional<ObservedRun> run_observed(
+    const ServiceGraph& graph, const ShardedDataplaneOptions& opts,
+    const std::vector<std::vector<u8>>& frames, std::size_t top_k = 10) {
+  ShardedDataplane dp({graph}, pass_all_factory, opts);
+  // Registered before start() so perf_event inheritance covers the
+  // dataplane threads; baseline after start() to exclude spawn cost.
+  telemetry::Observatory observatory(
+      {.enable_hw = true, .clock = {}, .top_k = top_k});
+  dp.register_observatory(observatory);
+  if (const Status st = dp.start(); !st.is_ok()) {
+    std::fprintf(stderr, "error: %s\n", st.message().c_str());
+    return std::nullopt;
+  }
+  observatory.reset_baseline();
+  for (const auto& frame : frames) {
+    dp.feed({frame.data(), frame.size()});
+  }
+  for (;;) {
+    u64 done = 0;
+    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+      done += dp.shard_delivered(s) + dp.shard_dropped(s);
+    }
+    if (done >= frames.size()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ObservedRun run{observatory.report(), dp.exec_mode()};
+  const ShardedResult res = dp.drain();
+  if (!res.status.is_ok()) {
+    std::fprintf(stderr, "error: %s\n", res.status.message().c_str());
+    return std::nullopt;
+  }
+  return run;
+}
+
+// `nfp_cli scalability`: sweep shard counts and attribute every lost
+// packet-per-second to a cycle bucket.
+int scalability_command(int argc, char** argv) {
+  LiveRunArgs args;
+  std::vector<std::size_t> shard_counts = {1, 2, 4};
+  std::string shard_list;
+  if (const int rc = parse_live_run_args(
+          argc, argv, "scalability", &args,
+          [&](const char* arg) {
+            if (!flag_string(arg, "--shards", &shard_list)) {
+              return flag_string(arg, "--mode", &args.mode);
+            }
+            shard_counts = parse_shard_list(shard_list);
+            return true;
+          });
+      rc != 0) {
+    return rc;
+  }
+  if (shard_counts.empty()) {
+    std::fprintf(stderr, "bad --shards list '%s'\n", shard_list.c_str());
+    return usage();
+  }
+  const auto frames = make_live_frames(args.packets, args.flows,
+                                       args.skew == "zipf", args.frame_size);
+  const ServiceGraph& graph = args.graph;
+  if (!args.json) {
     std::printf("scalability sweep: policy='%s' (%s), %llu packets, "
                 "%llu flows, %s skew, %zu online CPUs\n",
                 graph.name().c_str(), graph.structure().c_str(),
-                static_cast<unsigned long long>(packets),
-                static_cast<unsigned long long>(flows), skew.c_str(),
-                online_cpu_count());
+                static_cast<unsigned long long>(args.packets),
+                static_cast<unsigned long long>(args.flows),
+                args.skew.c_str(), online_cpu_count());
   }
 
   double base_pps = 0;
   for (const std::size_t shards : shard_counts) {
     ShardedDataplaneOptions opts;
     opts.shards = shards;
-    opts.pipeline.exec_mode = exec_mode;
-    ShardedDataplane dp({graph}, pass_all_factory, opts);
+    opts.pipeline.exec_mode = args.exec_mode;
+    const auto run = run_observed(graph, opts, frames);
+    if (!run) return 1;
+    const telemetry::ScalabilityReport& report = run->report.scalability;
     // The concrete mode (auto resolves per graph at construction).
-    const char* active_mode = exec_mode_name(dp.exec_mode());
-
-    // Profiler before start() so perf_event inheritance covers the
-    // dataplane threads; baseline after start() to exclude spawn cost.
-    telemetry::ScalabilityProfiler profiler;
-    dp.register_scalability(profiler);
-    if (const Status st = dp.start(); !st.is_ok()) {
-      std::fprintf(stderr, "error: %s\n", st.message().c_str());
-      return 1;
-    }
-    profiler.reset_baseline();
-
-    for (const auto& frame : frames) {
-      dp.feed({frame.data(), frame.size()});
-    }
-    // Report before drain() joins the workers: the wall clock then matches
-    // the window the threads were actually accounting.
-    while (true) {
-      u64 done = 0;
-      for (std::size_t s = 0; s < dp.shard_count(); ++s) {
-        done += dp.shard_delivered(s) + dp.shard_dropped(s);
-      }
-      if (done >= frames.size()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    const telemetry::ScalabilityReport report = profiler.report();
-    const ShardedResult res = dp.drain();
-    if (!res.status.is_ok()) {
-      std::fprintf(stderr, "error: %s\n", res.status.message().c_str());
-      return 1;
-    }
+    const char* active_mode = exec_mode_name(run->mode);
 
     if (shards == shard_counts.front()) base_pps = report.total_pps;
     const double scaling =
         base_pps > 0 ? report.total_pps / base_pps : 0;
-    if (want_json) {
+    if (args.json) {
       std::printf("{\"command\":\"scalability\",\"policy\":\"%s\","
                   "\"mode\":\"%s\",\"shards\":%zu,\"packets\":%llu,"
                   "\"flows\":%llu,\"skew\":\"%s\",\"online_cpus\":%zu,"
                   "\"scaling_vs_first\":%.3f,\"report\":%s}\n",
                   graph.name().c_str(), active_mode, shards,
-                  static_cast<unsigned long long>(packets),
-                  static_cast<unsigned long long>(flows), skew.c_str(),
-                  online_cpu_count(), scaling, report.to_json().c_str());
+                  static_cast<unsigned long long>(args.packets),
+                  static_cast<unsigned long long>(args.flows),
+                  args.skew.c_str(), online_cpu_count(), scaling,
+                  report.to_json().c_str());
     } else {
       std::printf("\n=== shards=%zu mode=%s  (%.0f pps aggregate, %.2fx vs "
                   "shards=%zu) ===\n%s",
@@ -1573,122 +1551,36 @@ int scalability_command(int argc, char** argv) {
   return 0;
 }
 
-// --- nfp_cli latency: the paper's core experiment, live -----------------
-
-// Flattens the graph's NFs into one sequential chain — the ONV/RTC view
-// of the same policy — so the comparison isolates graph shape.
-ServiceGraph flatten_sequential(const ServiceGraph& graph) {
-  std::vector<std::string> chain;
-  for (const Segment& seg : graph.segments()) {
-    for (const StageNf& nf : seg.nfs) chain.push_back(nf.name);
-  }
-  return ServiceGraph::sequential(graph.name() + "-chain", chain);
-}
-
-// One live run of `graph` with stage-latency sampling on; fills `out`
-// with the observatory's report over exactly this run's packets.
-int run_latency_plane(const ServiceGraph& graph,
-                      const std::vector<std::vector<u8>>& frames,
-                      std::size_t shards, std::size_t sample_every,
-                      ExecMode exec_mode, telemetry::LatencyReport* out) {
-  ShardedDataplaneOptions opts;
-  opts.shards = shards;
-  opts.pipeline.latency_sample_every = sample_every;
-  opts.pipeline.exec_mode = exec_mode;
-  ShardedDataplane dp({graph}, pass_all_factory, opts);
-
-  telemetry::LatencyObservatory::Options lat_options;
-  lat_options.sample_every = sample_every;
-  telemetry::LatencyObservatory obs(lat_options);
-  dp.register_latency(obs);
-
-  if (const Status st = dp.start(); !st.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", st.message().c_str());
-    return 1;
-  }
-  obs.reset_baseline();
-  for (const auto& frame : frames) {
-    dp.feed({frame.data(), frame.size()});
-  }
-  // Report after the last packet resolves but before drain() joins the
-  // workers, so the wall window matches the accounted one.
-  while (true) {
-    u64 done = 0;
-    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
-      done += dp.shard_delivered(s) + dp.shard_dropped(s);
-    }
-    if (done >= frames.size()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  *out = obs.report();
-  const ShardedResult res = dp.drain();
-  if (!res.status.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", res.status.message().c_str());
-    return 1;
-  }
-  return 0;
-}
-
-// `nfp_cli flows`: run a zipf elephant/mice workload through the sharded
-// dataplane and print the flow observatory's live view — cross-shard
-// merged top-K heavy hitters, flow churn, per-reason drop attribution and
-// per-graph accounting. --pool=N switches the director to NIC-like tail
-// drops with an N-deep RX ring (and a shard pool of N slots or its
-// minimum), so the drop-reason table fills with ring_full/pool_exhausted
-// attribution under overload.
+// `nfp_cli flows`: a zipf elephant/mice workload and the flow view —
+// merged top-K heavy hitters, churn, drops by reason, per-graph
+// accounting. --pool=N switches the director to NIC-like tail drops with
+// an N-deep RX ring, so the drop table fills under overload.
 int flows_command(int argc, char** argv) {
+  LiveRunArgs args;
+  args.packets = 50'000;
+  args.flows = 256;
+  args.skew = "zipf";
+  args.mode = "pipelined";  // flows takes no --mode
   u64 shards = 2;
-  u64 packets = 50'000;
-  u64 flows = 256;
-  u64 frame_size = 256;
   u64 top_k = 10;
   u64 pool = 0;
-  bool want_json = false;
-  std::string skew = "zipf";
-
-  // Optional policy file directly after the command; flags otherwise.
-  ServiceGraph graph = make_scalability_par4();
-  int first_flag = 2;
-  if (argc > 2 && argv[2][0] != '-') {
-    CompileReport report;
-    auto compiled = load_and_compile(argv[2], &report);
-    if (!compiled) {
-      std::fprintf(stderr, "error: %s\n", compiled.error().c_str());
-      return 1;
-    }
-    graph = compiled.value();
-    first_flag = 3;
+  if (const int rc = parse_live_run_args(
+          argc, argv, "flows", &args,
+          [&](const char* arg) {
+            return flag_value(arg, "--shards", &shards) ||
+                   flag_value(arg, "--top", &top_k) ||
+                   flag_value(arg, "--pool", &pool);
+          });
+      rc != 0) {
+    return rc;
   }
-  for (int i = first_flag; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--json") == 0) {
-      want_json = true;
-    } else if (flag_value(arg, "--shards", &shards) ||
-               flag_value(arg, "--packets", &packets) ||
-               flag_value(arg, "--flows", &flows) ||
-               flag_value(arg, "--size", &frame_size) ||
-               flag_value(arg, "--top", &top_k) ||
-               flag_value(arg, "--pool", &pool) ||
-               flag_string(arg, "--skew", &skew)) {
-      // parsed into the matching variable
-    } else {
-      std::fprintf(stderr, "unknown flows option '%s'\n", arg);
-      return usage();
-    }
-  }
-  if (skew != "uniform" && skew != "zipf") {
-    std::fprintf(stderr, "unknown skew '%s' (uniform|zipf)\n", skew.c_str());
-    return usage();
-  }
-  if (packets == 0) packets = 1;
-  if (flows == 0) flows = 1;
   if (top_k == 0) top_k = 1;
-
-  const auto frames =
-      make_live_frames(packets, flows, skew == "zipf", frame_size);
+  const auto frames = make_live_frames(args.packets, args.flows,
+                                       args.skew == "zipf", args.frame_size);
 
   ShardedDataplaneOptions opts;
   opts.shards = static_cast<std::size_t>(shards);
+  opts.pipeline.exec_mode = args.exec_mode;
   if (pool != 0) {
     // Overload demo: a tiny RX path with tail drops instead of blocking.
     // The constructor raises the pool to cover the ring, burst, magazines
@@ -1698,105 +1590,50 @@ int flows_command(int argc, char** argv) {
     opts.ingest_ring_depth = static_cast<std::size_t>(pool);
     opts.drop_on_ingest_backpressure = true;
   }
-  ShardedDataplane dp({graph}, pass_all_factory, opts);
+  const auto run = run_observed(args.graph, opts, frames,
+                                static_cast<std::size_t>(top_k));
+  if (!run) return 1;
+  const telemetry::FlowReport& report = run->report.flows;
 
-  telemetry::FlowObservatoryOptions fopts;
-  fopts.top_k = static_cast<std::size_t>(top_k);
-  telemetry::FlowObservatory flow_obs(fopts);
-  dp.register_flows(flow_obs);
-
-  if (const Status st = dp.start(); !st.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", st.message().c_str());
-    return 1;
-  }
-  flow_obs.reset_baseline();
-
-  for (const auto& frame : frames) {
-    dp.feed({frame.data(), frame.size()});
-  }
-  // Wait for the shards to finish the injected traffic (delivered or
-  // dropped-with-reason) before reporting, so the table is complete.
-  while (true) {
-    u64 done = 0;
-    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
-      done += dp.shard_delivered(s) + dp.shard_dropped(s);
-    }
-    if (done >= frames.size()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const telemetry::FlowReport report = flow_obs.report();
-  const ShardedResult res = dp.drain();
-  if (!res.status.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", res.status.message().c_str());
-    return 1;
-  }
-
-  if (want_json) {
+  if (args.json) {
     std::printf("%s\n", report.to_json().c_str());
     return 0;
   }
   std::printf("flows: policy='%s' (%s), %llu packets, %llu flows, %s skew, "
               "%zu shards%s\n",
-              graph.name().c_str(), graph.structure().c_str(),
-              static_cast<unsigned long long>(packets),
-              static_cast<unsigned long long>(flows), skew.c_str(),
-              dp.shard_count(),
-              pool != 0 ? " (tail-drop ingest)" : "");
+              args.graph.name().c_str(), args.graph.structure().c_str(),
+              static_cast<unsigned long long>(args.packets),
+              static_cast<unsigned long long>(args.flows), args.skew.c_str(),
+              report.shards.size(), pool != 0 ? " (tail-drop ingest)" : "");
   std::printf("%s", report.to_text().c_str());
   return 0;
 }
 
-int latency_command(int argc, char** argv) {
-  u64 shards = 2;
-  u64 packets = 20'000;
-  u64 flows = 64;
-  u64 frame_size = 256;
-  u64 sample_every = 8;
-  std::string skew = "uniform";
-  std::string mode = "auto";
-  bool want_json = false;
+// --- nfp_cli latency: the paper's core experiment, live -----------------
 
-  // Optional policy file directly after the command; the default workload
-  // is the 4-wide parallel monitor stage (vs. its 4-hop chain).
-  ServiceGraph graph = make_scalability_par4();
-  int first_flag = 2;
-  if (argc > 2 && argv[2][0] != '-') {
-    CompileReport report;
-    auto compiled = load_and_compile(argv[2], &report);
-    if (!compiled) {
-      std::fprintf(stderr, "error: %s\n", compiled.error().c_str());
-      return 1;
-    }
-    graph = compiled.value();
-    first_flag = 3;
+// The graph's NFs flattened into one sequential chain — the ONV/RTC view
+// of the same policy — so the comparison isolates graph shape.
+ServiceGraph flatten_sequential(const ServiceGraph& graph) {
+  return ServiceGraph::sequential(graph.name() + "-chain", nf_chain(graph));
+}
+
+int latency_command(int argc, char** argv) {
+  LiveRunArgs args;  // default graph: par4, vs. its 4-hop chain
+  u64 shards = 2;
+  u64 sample_every = 8;
+  if (const int rc = parse_live_run_args(
+          argc, argv, "latency", &args,
+          [&](const char* arg) {
+            return flag_value(arg, "--shards", &shards) ||
+                   flag_value(arg, "--sample-every", &sample_every) ||
+                   flag_string(arg, "--mode", &args.mode);
+          });
+      rc != 0) {
+    return rc;
   }
-  for (int i = first_flag; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--json") == 0) {
-      want_json = true;
-    } else if (flag_value(arg, "--shards", &shards) ||
-               flag_value(arg, "--packets", &packets) ||
-               flag_value(arg, "--flows", &flows) ||
-               flag_value(arg, "--size", &frame_size) ||
-               flag_value(arg, "--sample-every", &sample_every) ||
-               flag_string(arg, "--skew", &skew) ||
-               flag_string(arg, "--mode", &mode)) {
-      // parsed into the matching variable
-    } else {
-      std::fprintf(stderr, "unknown latency option '%s'\n", arg);
-      return usage();
-    }
-  }
-  if (skew != "uniform" && skew != "zipf") {
-    std::fprintf(stderr, "unknown skew '%s' (uniform|zipf)\n", skew.c_str());
-    return usage();
-  }
-  ExecMode exec_mode = ExecMode::kAuto;
-  if (!resolve_mode_flag(mode, &exec_mode)) return usage();
-  if (packets == 0) packets = 1;
-  if (flows == 0) flows = 1;
   if (shards == 0) shards = 1;
   if (sample_every == 0) sample_every = 1;
+  const ServiceGraph& graph = args.graph;
   if (graph.is_sequential()) {
     std::fprintf(stderr,
                  "warning: policy '%s' has no parallel stage; both runs "
@@ -1804,36 +1641,33 @@ int latency_command(int argc, char** argv) {
                  graph.name().c_str());
   }
 
-  const auto frames =
-      make_live_frames(packets, flows, skew == "zipf", frame_size);
+  const auto frames = make_live_frames(args.packets, args.flows,
+                                       args.skew == "zipf", args.frame_size);
   const ServiceGraph chain = flatten_sequential(graph);
 
-  if (!want_json) {
+  if (!args.json) {
     std::printf("latency experiment: '%s' (%s) vs sequential chain (%s), "
                 "%llu packets/plane, %llu flows, %s skew, %zu shards, "
                 "mode=%s, sampling 1/%llu flows\n",
                 graph.name().c_str(), graph.structure().c_str(),
                 chain.structure().c_str(),
-                static_cast<unsigned long long>(packets),
-                static_cast<unsigned long long>(flows), skew.c_str(),
-                static_cast<std::size_t>(shards), mode.c_str(),
+                static_cast<unsigned long long>(args.packets),
+                static_cast<unsigned long long>(args.flows),
+                args.skew.c_str(), static_cast<std::size_t>(shards),
+                args.mode.c_str(),
                 static_cast<unsigned long long>(sample_every));
   }
 
-  telemetry::LatencyReport seq_rep;
-  telemetry::LatencyReport par_rep;
-  if (const int rc = run_latency_plane(
-          chain, frames, static_cast<std::size_t>(shards),
-          static_cast<std::size_t>(sample_every), exec_mode, &seq_rep);
-      rc != 0) {
-    return rc;
-  }
-  if (const int rc = run_latency_plane(
-          graph, frames, static_cast<std::size_t>(shards),
-          static_cast<std::size_t>(sample_every), exec_mode, &par_rep);
-      rc != 0) {
-    return rc;
-  }
+  ShardedDataplaneOptions opts;
+  opts.shards = static_cast<std::size_t>(shards);
+  opts.pipeline.latency_sample_every = static_cast<std::size_t>(sample_every);
+  opts.pipeline.exec_mode = args.exec_mode;
+  const auto seq_run = run_observed(chain, opts, frames);
+  if (!seq_run) return 1;
+  const auto par_run = run_observed(graph, opts, frames);
+  if (!par_run) return 1;
+  const telemetry::LatencyReport& seq_rep = seq_run->report.latency;
+  const telemetry::LatencyReport& par_rep = par_run->report.latency;
 
   using telemetry::LatencyStage;
   const telemetry::HdrSnapshot& st = seq_rep.stage(LatencyStage::kTotal);
@@ -1849,7 +1683,7 @@ int latency_command(int argc, char** argv) {
                                     static_cast<double>(pt.quantile(0.999)));
   const double red_mean = reduction(st.mean(), pt.mean());
 
-  if (want_json) {
+  if (args.json) {
     std::printf("{\"command\":\"latency\",\"policy\":\"%s\","
                 "\"structure\":\"%s\",\"chain_structure\":\"%s\","
                 "\"mode\":\"%s\","
@@ -1859,10 +1693,10 @@ int latency_command(int argc, char** argv) {
                 "\"reduction_pct\":{\"p50\":%.1f,\"p99\":%.1f,"
                 "\"p999\":%.1f,\"mean\":%.1f}}\n",
                 graph.name().c_str(), graph.structure().c_str(),
-                chain.structure().c_str(), mode.c_str(),
+                chain.structure().c_str(), args.mode.c_str(),
                 static_cast<std::size_t>(shards),
-                static_cast<unsigned long long>(packets),
-                static_cast<unsigned long long>(flows), skew.c_str(),
+                static_cast<unsigned long long>(args.packets),
+                static_cast<unsigned long long>(args.flows), args.skew.c_str(),
                 static_cast<unsigned long long>(sample_every),
                 seq_rep.to_json().c_str(), par_rep.to_json().c_str(),
                 red_p50, red_p99, red_p999, red_mean);

@@ -17,6 +17,10 @@ using i64 = std::int64_t;
 
 inline constexpr std::size_t kCacheLineSize = 64;
 
+// a - b clamped at zero: a counter read against a baseline it may have
+// restarted below.
+constexpr u64 sat_sub(u64 a, u64 b) noexcept { return a >= b ? a - b : 0; }
+
 // Simulated time is kept in nanoseconds throughout the framework.
 using SimTime = u64;
 

@@ -11,8 +11,6 @@ namespace nfp {
 
 namespace {
 
-inline u64 sat_sub(u64 a, u64 b) noexcept { return a >= b ? a - b : 0; }
-
 // The options a pipeline over `graph` actually runs with: clamped knobs
 // and the concrete execution mode (what options() reports).
 LivePipelineOptions resolve_options(const ServiceGraph& graph,
@@ -197,7 +195,11 @@ void LivePipeline::set_drop_exemplar_ring(telemetry::DropExemplarRing* ring) {
   drop_exemplars_ = ring;
 }
 
-u64 LivePipeline::dropped_so_far() { return exec_->dropped(); }
+// feed() counts its refusals of malformed frames itself; every other drop
+// is the executor's.
+u64 LivePipeline::dropped_so_far() {
+  return exec_->dropped() + dropped_by(telemetry::DropReason::kMalformed);
+}
 
 u64 LivePipeline::delivered_so_far() { return exec_->delivered(); }
 
@@ -272,6 +274,11 @@ bool LivePipeline::feed(std::span<const u8> frame) {
   if (state_.load(std::memory_order_acquire) != RunState::kRunning) {
     return false;
   }
+  if (frame.size() > Packet::kMaxDataLen) {
+    // Longer than a slot's data area: refused before a slot is taken.
+    note_drop(telemetry::DropReason::kMalformed, "feeder", nullptr);
+    return false;
+  }
   // One clock read stamps the arrival (inject_time, which a shaper's token
   // bucket refills from) and, when sampled, the latency origin. Standalone
   // sampling: no flow hash at this layer, so sample by pid.
@@ -324,6 +331,7 @@ LiveResult LivePipeline::drain() {
     return bad;
   }
   LiveResult result = exec_->finish();
+  result.dropped += dropped_by(telemetry::DropReason::kMalformed);
   feeder_mag_.reset();  // returns its cached slots to the pool
   return result;
 }

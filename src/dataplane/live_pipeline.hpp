@@ -146,7 +146,8 @@ class LivePipeline {
   //            in-flight window and pool backpressure), stamp its arrival
   //            as inject_time and feed_packet() it; single-ingest-thread
   //            discipline — only one thread may feed, segment-0 rings are
-  //            SPSC;
+  //            SPSC; a frame longer than Packet::kMaxDataLen is refused
+  //            (false) as a counted malformed drop;
   //   drain()  wait for every in-flight packet, stop and join the workers,
   //            and hand back the accumulated result.
   // run() is now a start + feed-loop + drain composition.

@@ -18,8 +18,6 @@ namespace nfp {
 
 namespace {
 
-inline u64 sat_sub(u64 a, u64 b) noexcept { return a >= b ? a - b : 0; }
-
 // Worker name and drop-exemplar stage tag of an NF thread.
 std::string nf_stage(const StageNf& meta) {
   return "nf:" + meta.name + "#" + std::to_string(meta.instance_id);

@@ -9,8 +9,6 @@
 #include "common/hash.hpp"
 #include "ring/backoff.hpp"
 #include "telemetry/health_sampler.hpp"
-#include "telemetry/latency_observatory.hpp"
-#include "telemetry/scalability_profiler.hpp"
 
 namespace nfp {
 
@@ -221,6 +219,12 @@ bool ShardedDataplane::feed(std::span<const u8> frame) {
     // Offered while not running: still a packet the caller lost — tag it so
     // sum(reasons) keeps matching everything the plane refused.
     sh.flows->record_drop(telemetry::DropReason::kShutdownDrain, "director",
+                          &flow, telemetry::mono_now_ns());
+    return false;
+  }
+  if (frame.size() > Packet::kMaxDataLen) {
+    // Longer than a slot's data area: refused before a slot is taken.
+    sh.flows->record_drop(telemetry::DropReason::kMalformed, "director",
                           &flow, telemetry::mono_now_ns());
     return false;
   }
@@ -582,63 +586,41 @@ telemetry::ShardScalabilitySnapshot ShardedDataplane::scalability_snapshot(
   return snap;
 }
 
-void ShardedDataplane::register_scalability(
-    telemetry::ScalabilityProfiler& profiler) {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    profiler.add_shard("shard" + std::to_string(s),
-                       [this, s] { return scalability_snapshot(s); });
-  }
-}
-
-telemetry::ShardLatencySnapshot ShardedDataplane::latency_snapshot(
-    std::size_t s) const {
-  const Shard& sh = shards_.at(s);
-  telemetry::ShardLatencySnapshot snap;
-  for (const auto& pipeline : sh.pipelines) {
-    snap += pipeline->latency_snapshot();
-  }
-  snap.ingest_queue_depth += static_cast<double>(sh.ring->size());
-  return snap;
-}
-
-void ShardedDataplane::register_latency(
-    telemetry::LatencyObservatory& observatory) {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    observatory.add_shard("shard" + std::to_string(s),
-                          [this, s] { return latency_snapshot(s); });
-  }
-}
-
-telemetry::ShardFlowSnapshot ShardedDataplane::flow_snapshot(std::size_t s) {
+telemetry::ShardSnapshot ShardedDataplane::snapshot(std::size_t s) {
+  telemetry::ShardSnapshot snap;
+  snap.cycles = scalability_snapshot(s);
+  snap.sample_every = opts_.pipeline.latency_sample_every;
   Shard& sh = shards_.at(s);
   // Sketches + director drop counters + per-graph traffic come from the
-  // accountant; pipeline drops and latency are folded on top so the
-  // snapshot covers the whole shard.
-  telemetry::ShardFlowSnapshot snap = sh.flows->snapshot();
-  if (snap.graphs.size() < sh.pipelines.size()) {
-    snap.graphs.resize(sh.pipelines.size());
+  // accountant; each pipeline's drops and latency are folded on top, so
+  // the flow view covers the whole shard.
+  snap.flows = sh.flows->snapshot();
+  if (snap.flows.graphs.size() < sh.pipelines.size()) {
+    snap.flows.graphs.resize(sh.pipelines.size());
   }
   for (std::size_t g = 0; g < sh.pipelines.size(); ++g) {
     LivePipeline& pipeline = *sh.pipelines[g];
-    u64 pipeline_drops = 0;
+    telemetry::GraphFlowCounters& graph = snap.flows.graphs[g];
     for (std::size_t r = 0; r < telemetry::kDropReasonCount; ++r) {
       const u64 d =
           pipeline.dropped_by(static_cast<telemetry::DropReason>(r));
-      snap.drops[r] += d;
-      pipeline_drops += d;
+      snap.flows.drops[r] += d;
+      graph.drops += d;
     }
-    snap.graphs[g].drops += pipeline_drops;
-    snap.graphs[g].latency +=
-        pipeline.latency_snapshot().stage(telemetry::LatencyStage::kTotal);
+    // One read of the pipeline's latency blocks feeds both views.
+    const telemetry::ShardLatencySnapshot lat = pipeline.latency_snapshot();
+    snap.latency += lat;
+    graph.latency += lat.stage(telemetry::LatencyStage::kTotal);
   }
+  snap.latency.ingest_queue_depth += static_cast<double>(sh.ring->size());
   return snap;
 }
 
-void ShardedDataplane::register_flows(
-    telemetry::FlowObservatory& observatory) {
+void ShardedDataplane::register_observatory(
+    telemetry::Observatory& observatory) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     observatory.add_shard("shard" + std::to_string(s),
-                          [this, s] { return flow_snapshot(s); });
+                          [this, s] { return snapshot(s); });
   }
 }
 

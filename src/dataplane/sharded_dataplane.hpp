@@ -55,16 +55,13 @@
 #include "packet/packet_magazine.hpp"
 #include "packet/packet_pool.hpp"
 #include "ring/spsc_ring.hpp"
-#include "telemetry/flow_observatory.hpp"
+#include "telemetry/observatory.hpp"
 #include "telemetry/owned_counter.hpp"
 
 namespace nfp {
 
 namespace telemetry {
-class FlowObservatory;
 class HealthSampler;
-class LatencyObservatory;
-class ScalabilityProfiler;
 class Watchdog;
 }  // namespace telemetry
 
@@ -146,6 +143,9 @@ class ShardedDataplane {
   // workers and their pipelines (once per instance), feed() dispatches one
   // frame (single director thread; blocks while the target ring is full),
   // drain() flushes everything and joins. run() composes the three.
+  // feed() refuses, as a counted drop, a frame offered while the plane is
+  // not running (shutdown_drain) or longer than Packet::kMaxDataLen
+  // (malformed).
   Status start();
   bool feed(std::span<const u8> frame);
   ShardedResult drain();
@@ -199,37 +199,39 @@ class ShardedDataplane {
   void register_health(telemetry::HealthSampler& sampler,
                        telemetry::Watchdog* watchdog);
 
-  // Shard-level cycle/contention fold for the scalability profiler: the
+  // Shard-level cycle/contention fold (the scalability view): the
   // worker's buckets (classifier-miss and pipeline feed waits carved out
   // of useful), every pipeline thread's buckets, the director's waits on
   // this shard, and the pool/ring contention evidence. Scrape-time only.
   telemetry::ShardScalabilitySnapshot scalability_snapshot(std::size_t s);
-  // add_shard("shard<s>", ...) for every shard. Call before start();
-  // reset the profiler's baseline after start() to exclude spawn cost.
-  void register_scalability(telemetry::ScalabilityProfiler& profiler);
 
-  // Shard-level latency fold: every pipeline's stage histograms plus the
-  // shard's current ring occupancies (queue_depth from the NF rings,
-  // ingest_queue_depth from the director RX ring). Histograms are empty
-  // unless options.pipeline.latency_sample_every > 0 — the director then
-  // samples by flow hash (latency_sample_hash) and stamps origin at its
+  // Shard s's three views in one pass: the cycle fold above; each
+  // pipeline's stage histograms, read once into both the latency view and
+  // the flow view's per-graph latency; the RX ring depth; and the shard
+  // accountant's sketches and director drops plus each pipeline's drops.
+  // Histograms stay empty unless options.pipeline.latency_sample_every >
+  // 0; the director then samples by flow hash and stamps origin at its
   // own feed(), so ingest covers director pool/ring + classify time.
-  telemetry::ShardLatencySnapshot latency_snapshot(std::size_t s) const;
-  // add_shard("shard<s>", ...) for every shard. Call before start();
-  // reset the observatory's baseline after start().
-  void register_latency(telemetry::LatencyObservatory& observatory);
-
-  // Shard-level flow fold: the shard accountant's sketches + director drop
-  // counters, plus every pipeline's per-reason drops folded into both the
-  // per-reason totals and the per-graph accounting (with the graph's
-  // total-stage latency histogram). Scrape-safe mid-run.
-  telemetry::ShardFlowSnapshot flow_snapshot(std::size_t s);
-  // add_shard("shard<s>", ...) for every shard. Call before start();
-  // reset the observatory's baseline after start().
-  void register_flows(telemetry::FlowObservatory& observatory);
+  // Scrape-safe mid-run.
+  telemetry::ShardSnapshot snapshot(std::size_t s);
+  // The latency and flow parts of snapshot(s).
+  telemetry::ShardLatencySnapshot latency_snapshot(std::size_t s) {
+    return snapshot(s).latency;
+  }
+  telemetry::ShardFlowSnapshot flow_snapshot(std::size_t s) {
+    return snapshot(s).flows;
+  }
+  // add_shard("shard<s>", snapshot(s)) for every shard. Call before
+  // start(); reset the observatory's baseline after start() to exclude
+  // spawn cost.
+  void register_observatory(telemetry::Observatory& observatory);
+  // perfbench-only adapter (see telemetry::ScalabilityProfiler).
+  void register_scalability(telemetry::Observatory& observatory) {
+    register_observatory(observatory);
+  }
   // Director-recorded drops for shard s (ring_full/pool_exhausted under
-  // drop_on_ingest_backpressure, classifier_miss, shutdown_drain) — the
-  // part of shard_dropped() that never reached a pipeline.
+  // drop_on_ingest_backpressure, classifier_miss, shutdown_drain,
+  // malformed): the part of shard_dropped() no pipeline saw.
   u64 shard_director_dropped(std::size_t s) const;
 
  private:

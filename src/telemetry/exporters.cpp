@@ -5,6 +5,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace nfp::telemetry {
 
 namespace {
@@ -14,21 +16,6 @@ const std::string* find_label(const Labels& labels, std::string_view key) {
     if (k == key) return &v;
   }
   return nullptr;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 std::string prom_labels(const Labels& labels, const char* extra_key = nullptr,
@@ -56,7 +43,7 @@ std::string json_labels(const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
+    out += "\"" + json::escape(k) + "\":\"" + json::escape(v) + "\"";
   }
   out += "}";
   return out;
@@ -171,7 +158,7 @@ std::string to_json(const MetricsRegistry& registry) {
   for (const auto& [key, c] : registry.counters()) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << json_escape(key.name)
+    out << "{\"name\":\"" << json::escape(key.name)
         << "\",\"labels\":" << json_labels(key.labels) << ",\"value\":"
         << c.value << "}";
   }
@@ -180,7 +167,7 @@ std::string to_json(const MetricsRegistry& registry) {
   for (const auto& [key, g] : registry.gauges()) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << json_escape(key.name)
+    out << "{\"name\":\"" << json::escape(key.name)
         << "\",\"labels\":" << json_labels(key.labels) << ",\"value\":"
         << fmt_json_double(g.value) << ",\"high_water\":"
         << fmt_json_double(g.high_water) << "}";
@@ -190,7 +177,7 @@ std::string to_json(const MetricsRegistry& registry) {
   for (const auto& [key, h] : registry.histograms()) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << json_escape(key.name)
+    out << "{\"name\":\"" << json::escape(key.name)
         << "\",\"labels\":" << json_labels(key.labels) << ",\"count\":"
         << h.count() << ",\"min\":" << h.min() << ",\"mean\":"
         << fmt_json_double(h.mean()) << ",\"p50\":" << h.quantile(0.5)

@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
-#include "telemetry/health_sampler.hpp"
-#include "telemetry/timeseries.hpp"
+#include "common/json.hpp"
+#include "telemetry/exporters.hpp"
 
 namespace nfp::telemetry {
 
@@ -15,24 +15,8 @@ namespace {
 constexpr std::array<const char*, kDropReasonCount> kReasonNames = {
     "ring_full",     "pool_exhausted", "nf_verdict",
     "classifier_miss", "merge_overflow", "shutdown_drain",
+    "malformed",
 };
-
-u64 saturating_sub(u64 a, u64 b) noexcept { return a >= b ? a - b : 0; }
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 std::string fmt_double(double v) {
   char buf[64];
@@ -313,8 +297,36 @@ ShardFlowSnapshot& ShardFlowSnapshot::operator+=(
   return *this;
 }
 
+ShardFlowSnapshot flow_delta(ShardFlowSnapshot now,
+                             const ShardFlowSnapshot& then, u64 since_ns) {
+  now.packets = sat_sub(now.packets, then.packets);
+  now.bytes = sat_sub(now.bytes, then.bytes);
+  now.new_flows = sat_sub(now.new_flows, then.new_flows);
+  for (std::size_t r = 0; r < kDropReasonCount; ++r) {
+    now.drops[r] = sat_sub(now.drops[r], then.drops[r]);
+  }
+  for (std::size_t g = 0; g < now.graphs.size() && g < then.graphs.size();
+       ++g) {
+    GraphFlowCounters& cur = now.graphs[g];
+    const GraphFlowCounters& base = then.graphs[g];
+    cur.traffic.packets = sat_sub(cur.traffic.packets, base.traffic.packets);
+    cur.traffic.bytes = sat_sub(cur.traffic.bytes, base.traffic.bytes);
+    cur.drops = sat_sub(cur.drops, base.drops);
+    cur.latency = hdr_delta(cur.latency, base.latency);
+  }
+  std::erase_if(now.exemplars, [since_ns](const DropExemplar& e) {
+    return e.when_ns < since_ns;
+  });
+  return now;
+}
+
 // ---------------------------------------------------------------------------
 // Report rendering.
+
+void FlowReport::add_shard(std::string name, ShardFlowSnapshot d) {
+  total += d;
+  shards.push_back({std::move(name), std::move(d)});
+}
 
 double FlowReport::hh_top1_share() const noexcept {
   if (total.topk.empty() || total.packets == 0) return 0.0;
@@ -388,7 +400,7 @@ std::string FlowReport::to_json() const {
     const DropExemplar& e = total.exemplars[i];
     if (i > 0) out << ",";
     out << "{\"flow\":\"" << tuple_str(e.tuple, e.tuple_valid)
-        << "\",\"stage\":\"" << escape(e.stage) << "\",\"reason\":\""
+        << "\",\"stage\":\"" << json::escape(e.stage) << "\",\"reason\":\""
         << drop_reason_name(e.reason) << "\",\"when_ns\":" << e.when_ns
         << "}";
   }
@@ -396,7 +408,7 @@ std::string FlowReport::to_json() const {
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const Shard& sh = shards[s];
     if (s > 0) out << ",";
-    out << "{\"name\":\"" << escape(sh.name)
+    out << "{\"name\":\"" << json::escape(sh.name)
         << "\",\"packets\":" << sh.d.packets << ",\"bytes\":" << sh.d.bytes
         << ",\"new_flows\":" << sh.d.new_flows
         << ",\"dropped\":" << sh.d.total_drops() << ",\"drops\":";
@@ -479,149 +491,23 @@ std::string FlowReport::to_prometheus() const {
   for (const Shard& sh : shards) {
     for (std::size_t r = 0; r < kDropReasonCount; ++r) {
       out << "nfp_flow_drops_total{reason=\"" << kReasonNames[r]
-          << "\",shard=\"" << escape(sh.name) << "\"} " << sh.d.drops[r]
-          << "\n";
+          << "\",shard=\"" << prom_escape_label(sh.name) << "\"} "
+          << sh.d.drops[r] << "\n";
     }
   }
   out << "# TYPE nfp_flow_packets_total counter\n";
   for (const Shard& sh : shards) {
-    out << "nfp_flow_packets_total{shard=\"" << escape(sh.name) << "\"} "
-        << sh.d.packets << "\n";
+    out << "nfp_flow_packets_total{shard=\"" << prom_escape_label(sh.name)
+        << "\"} " << sh.d.packets << "\n";
   }
   out << "# TYPE nfp_flow_bytes_total counter\n";
   for (const Shard& sh : shards) {
-    out << "nfp_flow_bytes_total{shard=\"" << escape(sh.name) << "\"} "
-        << sh.d.bytes << "\n";
+    out << "nfp_flow_bytes_total{shard=\"" << prom_escape_label(sh.name)
+        << "\"} " << sh.d.bytes << "\n";
   }
   out << "# TYPE nfp_flows_active gauge\nnfp_flows_active "
       << fmt_double(flows_active()) << "\n";
   return out.str();
-}
-
-// ---------------------------------------------------------------------------
-// Observatory.
-
-FlowObservatory::FlowObservatory(Options options)
-    : options_(std::move(options)),
-      probe_cache_(std::make_shared<ProbeCache>()) {
-  if (!options_.clock) options_.clock = [] { return mono_now_ns(); };
-  if (options_.top_k == 0) options_.top_k = 10;
-  baseline_ns_ = options_.clock();
-}
-
-void FlowObservatory::add_shard(std::string name, SnapshotFn fn) {
-  if (!fn) return;
-  const std::scoped_lock lock(mu_);
-  Source src;
-  src.name = std::move(name);
-  src.baseline = fn();
-  src.fn = std::move(fn);
-  sources_.push_back(std::move(src));
-}
-
-std::size_t FlowObservatory::shard_count() const {
-  const std::scoped_lock lock(mu_);
-  return sources_.size();
-}
-
-void FlowObservatory::reset_baseline() {
-  const std::scoped_lock lock(mu_);
-  for (Source& src : sources_) src.baseline = src.fn();
-  baseline_ns_ = options_.clock();
-}
-
-FlowReport FlowObservatory::report_locked() const {
-  FlowReport rep;
-  rep.top_k = options_.top_k;
-  const u64 now = options_.clock();
-  rep.wall_seconds =
-      static_cast<double>(saturating_sub(now, baseline_ns_)) / 1e9;
-  for (const Source& src : sources_) {
-    FlowReport::Shard sh;
-    sh.name = src.name;
-    sh.d = src.fn();
-    // Counters are reported as deltas against the baseline; the sketches
-    // (top-K table, HLL registers) stay cumulative — they have no
-    // subtraction — and the exemplar ring is filtered by timestamp.
-    sh.d.packets = saturating_sub(sh.d.packets, src.baseline.packets);
-    sh.d.bytes = saturating_sub(sh.d.bytes, src.baseline.bytes);
-    sh.d.new_flows = saturating_sub(sh.d.new_flows, src.baseline.new_flows);
-    for (std::size_t r = 0; r < kDropReasonCount; ++r) {
-      sh.d.drops[r] = saturating_sub(sh.d.drops[r], src.baseline.drops[r]);
-    }
-    for (std::size_t g = 0; g < sh.d.graphs.size(); ++g) {
-      if (g < src.baseline.graphs.size()) {
-        const GraphFlowCounters& base = src.baseline.graphs[g];
-        sh.d.graphs[g].traffic.packets = saturating_sub(
-            sh.d.graphs[g].traffic.packets, base.traffic.packets);
-        sh.d.graphs[g].traffic.bytes =
-            saturating_sub(sh.d.graphs[g].traffic.bytes, base.traffic.bytes);
-        sh.d.graphs[g].drops = saturating_sub(sh.d.graphs[g].drops,
-                                              base.drops);
-        sh.d.graphs[g].latency =
-            hdr_delta(sh.d.graphs[g].latency, base.latency);
-      }
-    }
-    std::erase_if(sh.d.exemplars, [this](const DropExemplar& e) {
-      return e.when_ns < baseline_ns_;
-    });
-    rep.total += sh.d;
-    rep.shards.push_back(std::move(sh));
-  }
-  // Shard sections render their local top-K depth; the merged table keeps
-  // the largest per-shard capacity so the accuracy guarantee carries over.
-  return rep;
-}
-
-FlowReport FlowObservatory::report() const {
-  const std::scoped_lock lock(mu_);
-  return report_locked();
-}
-
-void FlowObservatory::register_probes(TimeseriesCollector& collector) {
-  // One report per collector tick, same contract as the latency
-  // observatory: the first probe sampled inside a 200ms window refreshes
-  // the shared cache (all probes run on the collector thread).
-  std::shared_ptr<ProbeCache> cache = probe_cache_;
-  auto refreshed = [this, cache]() -> const FlowReport& {
-    const u64 now = options_.clock();
-    if (cache->stamp_ns == 0 ||
-        saturating_sub(now, cache->stamp_ns) > 200ull * 1000 * 1000) {
-      cache->report = report();
-      // flow_new_rate is the between-refresh derivative, not the lifetime
-      // average: churny phases show up immediately.
-      const u64 cur = cache->report.total.new_flows;
-      if (cache->prev_stamp_ns != 0 && now > cache->prev_stamp_ns &&
-          cur >= cache->prev_new_flows) {
-        cache->new_flow_rate =
-            static_cast<double>(cur - cache->prev_new_flows) * 1e9 /
-            static_cast<double>(now - cache->prev_stamp_ns);
-      } else {
-        cache->new_flow_rate = 0;
-      }
-      cache->prev_new_flows = cur;
-      cache->prev_stamp_ns = now;
-      cache->stamp_ns = now;
-    }
-    return cache->report;
-  };
-  collector.add_probe("flows_active", {}, [refreshed] {
-    return refreshed().flows_active();
-  });
-  collector.add_probe("flow_new_rate", {}, [refreshed, cache] {
-    refreshed();
-    return cache->new_flow_rate;
-  });
-  collector.add_probe("hh_top1_share", {}, [refreshed] {
-    return refreshed().hh_top1_share();
-  });
-  for (std::size_t r = 0; r < kDropReasonCount; ++r) {
-    collector.add_probe(
-        std::string("drops_") + kReasonNames[r] + "_total", {},
-        [refreshed, r] {
-          return static_cast<double>(refreshed().total.drops[r]);
-        });
-  }
 }
 
 }  // namespace nfp::telemetry

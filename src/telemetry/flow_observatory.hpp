@@ -1,11 +1,12 @@
-// Flow observatory: who the traffic is, where it is dropped, and what each
-// tenant graph receives.
+// Flow view: who the traffic is, where it is dropped, and what each
+// tenant graph receives — one of the three views telemetry::Observatory
+// (observatory.hpp) reads off each shard's snapshot.
 //
-// The scalability profiler (PR 6) attributes lost throughput and the
-// latency observatory (PR 7) lost microseconds; this layer attributes the
-// *traffic* itself — the missing axis behind NFP's traffic-steering story
-// (paper §4: the classifier steers flows across per-policy service graphs)
-// and the multi-tenant setting of the cloud-NFV follow-ups. Three signals:
+// The scalability view attributes lost throughput and the latency view
+// lost microseconds; this view attributes the *traffic* itself — the
+// missing axis behind NFP's traffic-steering story (paper §4: the
+// classifier steers flows across per-policy service graphs) and the
+// multi-tenant setting of the cloud-NFV follow-ups. Three signals:
 //
 //   * heavy hitters — a Space-Saving top-K table per shard keyed by the
 //     5-tuple, counting packets + bytes (PacketByteCount, the same unit as
@@ -25,7 +26,7 @@
 //     (5-tuple, stage, reason, timestamp) for "which flow was hit" triage.
 //
 // Plus per-service-graph (tenant) accounting: pps/bytes/drops and the p99
-// of the latency observatory's total stage, per graph steered by the
+// of the latency view's total stage, per graph steered by the
 // LiveClassificationTable.
 //
 // Recording contract: the shard worker aggregates packets thread-locally
@@ -34,8 +35,9 @@
 // preferentially during idle streaks so the fold overlaps starvation
 // rather than displacing forwarding, with a ~64Ki-packet staleness
 // backstop under sustained saturation. The sketches never see per-packet
-// locking, and scrape threads touch the same mutex only at report time. Drop counters are relaxed atomics (drops are the cold
-// path). The director's flow hash is reused for every key, so accounting
+// locking, and scrape threads touch the same mutex only at report time.
+// Drop counters are relaxed atomics (drops are the cold path). The
+// director's flow hash is reused for every key, so accounting
 // adds no reparse; bench_hotpath_throughput's flow32-acct/noacct pair
 // gates the enabled cost at 5%.
 //
@@ -49,8 +51,6 @@
 #include <atomic>
 #include <bit>
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -64,8 +64,6 @@
 
 namespace nfp::telemetry {
 
-class TimeseriesCollector;
-
 // Why the dataplane lost a packet. kCount is the array bound.
 enum class DropReason : unsigned {
   kRingFull = 0,     // director RX ring full under drop_on_ingest_backpressure
@@ -75,6 +73,8 @@ enum class DropReason : unsigned {
   kMergeOverflow,    // merge accumulation failed (defensive; not reachable
                      // today — MergeTable grows instead of dropping)
   kShutdownDrain,    // frame offered while the plane was not running
+  kMalformed,        // frame longer than a packet slot holds
+                     // (Packet::kMaxDataLen), refused before a slot is taken
   kCount,
 };
 inline constexpr std::size_t kDropReasonCount =
@@ -235,8 +235,8 @@ struct FlowSample {
 };
 
 // Per-graph (tenant) accounting: traffic in the shared counting unit plus
-// drops and the latency observatory's total-stage histogram for that
-// graph's pipelines.
+// drops and the latency view's total-stage histogram for that graph's
+// pipelines.
 struct GraphFlowCounters {
   PacketByteCount traffic;
   u64 drops = 0;
@@ -266,6 +266,13 @@ struct ShardFlowSnapshot {
   u64 total_drops() const noexcept;
   ShardFlowSnapshot& operator+=(const ShardFlowSnapshot& other);
 };
+
+// Counters (packets, bytes, new flows, drops, per-graph traffic, drops and
+// latency) as now - then; the sketches (top-K table, HLL registers) stay
+// cumulative, since they have no subtraction; exemplars older than
+// `since_ns` are left out.
+ShardFlowSnapshot flow_delta(ShardFlowSnapshot now,
+                             const ShardFlowSnapshot& then, u64 since_ns);
 
 // The per-shard recording half: owned by the sharded dataplane, written by
 // the shard's worker (record_burst, one mutex acquisition per burst) and by
@@ -309,7 +316,7 @@ class ShardFlowAccountant {
 };
 
 // ---------------------------------------------------------------------------
-// Report + observatory.
+// Report.
 
 struct FlowReport {
   struct Shard {
@@ -335,6 +342,9 @@ struct FlowReport {
   double hh_top1_share() const noexcept;
   u64 total_drops() const noexcept { return total.total_drops(); }
 
+  // Appends one shard's delta and merges it into the total.
+  void add_shard(std::string name, ShardFlowSnapshot d);
+
   std::string to_json() const;
   // Terminal rendering: top-K table, churn line, drop-reason table,
   // per-graph accounting.
@@ -343,62 +353,6 @@ struct FlowReport {
   // cover the rest): nfp_flow_drops_total{reason=...,shard=...} counters
   // plus nfp_flow_packets_total / nfp_flow_bytes_total per shard.
   std::string to_prometheus() const;
-};
-
-struct FlowObservatoryOptions {
-  std::size_t top_k = 10;          // rendered entries
-  std::function<u64()> clock;      // ns; defaults to mono_now_ns
-};
-
-// Registry of per-shard snapshot callbacks + a counter baseline, mirroring
-// LatencyObservatory: add_shard/reset_baseline/report serialize on an
-// internal mutex; callbacks read dataplane-owned state that is safe to
-// scrape mid-run.
-class FlowObservatory {
- public:
-  using Options = FlowObservatoryOptions;
-  using SnapshotFn = std::function<ShardFlowSnapshot()>;
-
-  explicit FlowObservatory(Options options = {});
-
-  void add_shard(std::string name, SnapshotFn fn);
-  std::size_t shard_count() const;
-
-  // Re-zeroes the counter baseline (packets/bytes/new_flows/drops/graphs
-  // and the exemplar-time floor). Sketches are cumulative by nature. Call
-  // after start() so warm-up traffic is excluded.
-  void reset_baseline();
-
-  FlowReport report() const;
-  std::string to_json() const { return report().to_json(); }
-
-  // Publishes flows_active, flow_new_rate (per-second, between collector
-  // refreshes), hh_top1_share and drops_<reason>_total probes. One
-  // underlying report per collector tick via the shared 200ms cache.
-  void register_probes(TimeseriesCollector& collector);
-
- private:
-  struct Source {
-    std::string name;
-    SnapshotFn fn;
-    ShardFlowSnapshot baseline;
-  };
-
-  struct ProbeCache {
-    FlowReport report;
-    u64 stamp_ns = 0;
-    double new_flow_rate = 0;  // between-refresh rate for the probe
-    u64 prev_new_flows = 0;
-    u64 prev_stamp_ns = 0;
-  };
-
-  FlowReport report_locked() const;
-
-  mutable std::mutex mu_;
-  Options options_;
-  std::vector<Source> sources_;
-  u64 baseline_ns_ = 0;
-  std::shared_ptr<ProbeCache> probe_cache_;
 };
 
 }  // namespace nfp::telemetry

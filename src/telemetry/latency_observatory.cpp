@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <sstream>
 
-#include "telemetry/health_sampler.hpp"
-#include "telemetry/timeseries.hpp"
+#include "common/json.hpp"
+#include "telemetry/exporters.hpp"
 
 namespace nfp::telemetry {
 
@@ -16,28 +16,11 @@ constexpr std::array<const char*, kLatencyStageCount> kStageNames = {
     "ingest", "queue", "service", "merge_wait", "egress", "total",
 };
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
   return buf;
 }
-
-u64 saturating_sub(u64 a, u64 b) noexcept { return a >= b ? a - b : 0; }
 
 double to_us(u64 ns) { return static_cast<double>(ns) / 1e3; }
 
@@ -107,10 +90,10 @@ HdrSnapshot hdr_delta(const HdrSnapshot& now,
                       const HdrSnapshot& then) noexcept {
   HdrSnapshot d;
   for (std::size_t i = 0; i < kLatBuckets; ++i) {
-    d.counts[i] = saturating_sub(now.counts[i], then.counts[i]);
+    d.counts[i] = sat_sub(now.counts[i], then.counts[i]);
   }
-  d.total = saturating_sub(now.total, then.total);
-  d.sum = saturating_sub(now.sum, then.sum);
+  d.total = sat_sub(now.total, then.total);
+  d.sum = sat_sub(now.sum, then.sum);
   return d;
 }
 
@@ -135,8 +118,26 @@ ShardLatencySnapshot& ShardLatencySnapshot::operator+=(
   return *this;
 }
 
+ShardLatencySnapshot latency_delta(const ShardLatencySnapshot& now,
+                                   const ShardLatencySnapshot& then) noexcept {
+  ShardLatencySnapshot d;
+  for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
+    d.stages[i] = hdr_delta(now.stages[i], then.stages[i]);
+  }
+  d.queue_depth = now.queue_depth;
+  d.ingest_queue_depth = now.ingest_queue_depth;
+  return d;
+}
+
 // ---------------------------------------------------------------------------
 // Report rendering.
+
+void LatencyReport::add_shard(std::string name, const ShardLatencySnapshot& d) {
+  shards.push_back({std::move(name), d});
+  for (std::size_t i = 0; i < kLatencyStageCount; ++i) total[i] += d.stages[i];
+  queue_depth += d.queue_depth;
+  ingest_queue_depth += d.ingest_queue_depth;
+}
 
 namespace {
 
@@ -173,7 +174,7 @@ std::string LatencyReport::to_json() const {
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const Shard& sh = shards[s];
     if (s > 0) out << ",";
-    out << "{\"name\":\"" << escape(sh.name) << "\",\"sampled\":"
+    out << "{\"name\":\"" << json::escape(sh.name) << "\",\"sampled\":"
         << sh.d.stage(LatencyStage::kTotal).count()
         << ",\"queue_depth\":" << fmt_double(sh.d.queue_depth)
         << ",\"ingest_queue_depth\":" << fmt_double(sh.d.ingest_queue_depth)
@@ -235,7 +236,8 @@ std::string LatencyReport::to_prometheus() const {
     for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
       const HdrSnapshot& h = sh.d.stages[i];
       const std::string labels = std::string("{stage=\"") + kStageNames[i] +
-                                 "\",shard=\"" + escape(sh.name) + "\"";
+                                 "\",shard=\"" + prom_escape_label(sh.name) +
+                                 "\"";
       u64 cumulative = 0;
       std::size_t bucket = 0;
       // One le-boundary per power of two: buckets [k*16, (k+1)*16) share
@@ -263,128 +265,6 @@ std::string LatencyReport::to_prometheus() const {
     }
   }
   return out.str();
-}
-
-// ---------------------------------------------------------------------------
-// Observatory.
-
-LatencyObservatory::LatencyObservatory(Options options)
-    : options_(std::move(options)),
-      probe_cache_(std::make_shared<ProbeCache>()) {
-  if (!options_.clock) options_.clock = [] { return mono_now_ns(); };
-  baseline_ns_ = options_.clock();
-}
-
-void LatencyObservatory::add_shard(std::string name, SnapshotFn fn) {
-  if (!fn) return;
-  const std::scoped_lock lock(mu_);
-  Source src;
-  src.name = std::move(name);
-  src.baseline = fn();
-  src.fn = std::move(fn);
-  sources_.push_back(std::move(src));
-}
-
-std::size_t LatencyObservatory::shard_count() const {
-  const std::scoped_lock lock(mu_);
-  return sources_.size();
-}
-
-void LatencyObservatory::reset_baseline() {
-  const std::scoped_lock lock(mu_);
-  for (Source& src : sources_) src.baseline = src.fn();
-  baseline_ns_ = options_.clock();
-}
-
-LatencyReport LatencyObservatory::report_locked() const {
-  LatencyReport rep;
-  rep.sample_every = options_.sample_every;
-  const u64 now = options_.clock();
-  rep.wall_seconds =
-      static_cast<double>(saturating_sub(now, baseline_ns_)) / 1e9;
-  for (const Source& src : sources_) {
-    LatencyReport::Shard sh;
-    sh.name = src.name;
-    ShardLatencySnapshot current = src.fn();
-    for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
-      sh.d.stages[i] = hdr_delta(current.stages[i], src.baseline.stages[i]);
-      rep.total[i] += sh.d.stages[i];
-    }
-    // Queue depths are point-in-time gauges, not counters: no delta.
-    sh.d.queue_depth = current.queue_depth;
-    sh.d.ingest_queue_depth = current.ingest_queue_depth;
-    rep.queue_depth += current.queue_depth;
-    rep.ingest_queue_depth += current.ingest_queue_depth;
-    rep.shards.push_back(std::move(sh));
-  }
-  return rep;
-}
-
-LatencyReport LatencyObservatory::report() const {
-  const std::scoped_lock lock(mu_);
-  return report_locked();
-}
-
-void LatencyObservatory::register_probes(TimeseriesCollector& collector) {
-  const std::size_t shard_total = shard_count();
-  // One report per collector tick: the first probe sampled inside a 200ms
-  // window refreshes the cache, the rest read it (all probes run on the
-  // collector thread, so the cache needs no lock of its own).
-  std::shared_ptr<ProbeCache> cache = probe_cache_;
-  auto refreshed = [this, cache]() -> const LatencyReport& {
-    const u64 now = options_.clock();
-    if (cache->stamp_ns == 0 ||
-        saturating_sub(now, cache->stamp_ns) > 200ull * 1000 * 1000) {
-      cache->report = report();
-      cache->stamp_ns = now;
-    }
-    return cache->report;
-  };
-  for (std::size_t s = 0; s < shard_total; ++s) {
-    std::string shard_name;
-    {
-      const std::scoped_lock lock(mu_);
-      shard_name = sources_[s].name;
-    }
-    const Labels labels{{"shard", shard_name}};
-    for (std::size_t b = 0; b < kLatencyStageCount; ++b) {
-      collector.add_probe(
-          std::string("latency_") + kStageNames[b] + "_p99", labels,
-          [refreshed, s, b] {
-            const LatencyReport& rep = refreshed();
-            return s < rep.shards.size()
-                       ? to_us(rep.shards[s].d.stages[b].quantile(0.99))
-                       : 0.0;
-          });
-    }
-    collector.add_probe("latency_total_p50", labels, [refreshed, s] {
-      const LatencyReport& rep = refreshed();
-      return s < rep.shards.size()
-                 ? to_us(rep.shards[s]
-                             .d.stage(LatencyStage::kTotal)
-                             .quantile(0.50))
-                 : 0.0;
-    });
-    collector.add_probe("latency_total_p999", labels, [refreshed, s] {
-      const LatencyReport& rep = refreshed();
-      return s < rep.shards.size()
-                 ? to_us(rep.shards[s]
-                             .d.stage(LatencyStage::kTotal)
-                             .quantile(0.999))
-                 : 0.0;
-    });
-    collector.add_probe("latency_queue_depth", labels, [refreshed, s] {
-      const LatencyReport& rep = refreshed();
-      return s < rep.shards.size() ? rep.shards[s].d.queue_depth : 0.0;
-    });
-    collector.add_probe("latency_ingest_queue_depth", labels,
-                        [refreshed, s] {
-                          const LatencyReport& rep = refreshed();
-                          return s < rep.shards.size()
-                                     ? rep.shards[s].d.ingest_queue_depth
-                                     : 0.0;
-                        });
-  }
 }
 
 }  // namespace nfp::telemetry

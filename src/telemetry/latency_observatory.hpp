@@ -1,9 +1,10 @@
-// Live tail-latency observatory: sampled per-packet stage timing across
-// the sharded dataplane.
+// Latency view: sampled per-packet stage timing across the sharded
+// dataplane, one of the three views telemetry::Observatory
+// (observatory.hpp) reads off each shard's snapshot.
 //
 // NFP's headline result is latency — parallel NF graphs cut packet latency
-// vs. the sequential chain (§6) — and the scalability profiler (PR 6) only
-// attributes lost *throughput*. This observatory attributes every lost
+// vs. the sequential chain (§6) — and the scalability view only
+// attributes lost *throughput*. This view attributes every lost
 // microsecond: deterministic 1-in-N sampling stamps selected packets at
 // each hop and the egress thread decomposes the end-to-end time into an
 // exact stage partition,
@@ -27,10 +28,10 @@
 // arrival whose out-push completed the merge set): its queue/service are
 // accumulated and merge_wait is the span from its push to resolution.
 //
-// The recording contract mirrors ScalabilityProfiler: samples land in
+// The recording contract mirrors the scalability view: samples land in
 // per-thread, cacheline-aligned StageLatencyBlocks written by exactly one
-// thread (relaxed atomics); aggregation happens only at scrape time via
-// per-shard snapshot callbacks. Storage is a fixed-footprint HDR-style
+// thread (relaxed atomics); aggregation happens only at scrape time, in
+// the dataplane's per-shard snapshot. Storage is a fixed-footprint HDR-style
 // histogram — log2 buckets with kLatSubBuckets linear sub-buckets — so
 // quantiles carry a bounded relative error of 1/kLatSubBuckets (6.25%:
 // a bucket's reported lower bound b satisfies b <= v < b + b/16 for every
@@ -47,17 +48,12 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace nfp::telemetry {
-
-class TimeseriesCollector;
 
 // Hop-resolved stage set. kCount is the array bound.
 enum class LatencyStage : unsigned {
@@ -120,7 +116,7 @@ HdrSnapshot hdr_delta(const HdrSnapshot& now, const HdrSnapshot& then) noexcept;
 
 // One thread's recording block: written by exactly one thread with relaxed
 // adds into its own cachelines, folded by scrape-side readers. Nothing
-// shared is written on the hot path (the ScalabilityProfiler contract).
+// shared is written on the hot path (the scalability view's contract).
 struct alignas(kCacheLineSize) StageLatencyBlock {
   void record(LatencyStage s, u64 ns) noexcept {
     auto& st = stages_[static_cast<std::size_t>(s)];
@@ -155,6 +151,11 @@ struct ShardLatencySnapshot {
   ShardLatencySnapshot& operator+=(const ShardLatencySnapshot& other) noexcept;
 };
 
+// Stage histograms as now - then; queue depths are point-in-time gauges
+// and come from `now` unchanged.
+ShardLatencySnapshot latency_delta(const ShardLatencySnapshot& now,
+                                   const ShardLatencySnapshot& then) noexcept;
+
 // The folded report: per-shard and merged stage summaries in microseconds.
 struct LatencyReport {
   struct Shard {
@@ -176,65 +177,15 @@ struct LatencyReport {
     return total[static_cast<std::size_t>(s)];
   }
 
+  // Appends one shard's delta and folds it into the totals.
+  void add_shard(std::string name, const ShardLatencySnapshot& d);
+
   std::string to_json() const;
   // Fixed-width stage table for terminals (p50/p90/p99/p99.9/max/mean).
   std::string to_text() const;
   // Native Prometheus histogram exposition for the stage histograms:
   // nfp_latency_ns_bucket{stage=...,shard=...,le=...} + _sum + _count.
   std::string to_prometheus() const;
-};
-
-struct LatencyObservatoryOptions {
-  std::size_t sample_every = 64;  // reported, not enforced here: the
-                                  // dataplane options carry the knob
-  std::function<u64()> clock;     // ns; defaults to mono_now_ns
-};
-
-// Registry of per-shard snapshot callbacks + a baseline. Thread-safe:
-// add_shard/reset_baseline/report serialize on an internal mutex; the
-// callbacks only read relaxed atomics owned by dataplane threads.
-class LatencyObservatory {
- public:
-  using Options = LatencyObservatoryOptions;
-  using SnapshotFn = std::function<ShardLatencySnapshot()>;
-
-  explicit LatencyObservatory(Options options = {});
-
-  void add_shard(std::string name, SnapshotFn fn);
-  std::size_t shard_count() const;
-
-  // Re-zeroes the report: subsequent report() deltas are relative to the
-  // counter values and wall-clock now. Call after start() so spawn cost
-  // and warm-up samples are excluded.
-  void reset_baseline();
-
-  LatencyReport report() const;
-  std::string to_json() const { return report().to_json(); }
-
-  // Publishes latency_<stage>_p99{shard=...} (plus latency_total_p50 /
-  // latency_total_p999) and latency_queue_depth probes. One underlying
-  // report per tick: the first probe sampled refreshes a cached report.
-  void register_probes(TimeseriesCollector& collector);
-
- private:
-  struct Source {
-    std::string name;
-    SnapshotFn fn;
-    ShardLatencySnapshot baseline;
-  };
-
-  struct ProbeCache {
-    LatencyReport report;
-    u64 stamp_ns = 0;
-  };
-
-  LatencyReport report_locked() const;
-
-  mutable std::mutex mu_;
-  Options options_;
-  std::vector<Source> sources_;
-  u64 baseline_ns_ = 0;
-  std::shared_ptr<ProbeCache> probe_cache_;
 };
 
 }  // namespace nfp::telemetry

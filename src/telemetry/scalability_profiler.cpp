@@ -6,8 +6,7 @@
 #include <cstring>
 #include <sstream>
 
-#include "telemetry/health_sampler.hpp"
-#include "telemetry/timeseries.hpp"
+#include "common/json.hpp"
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
 #define NFP_HAVE_PERF_EVENT 1
@@ -27,28 +26,22 @@ constexpr std::array<const char*, kCycleBucketCount> kBucketNames = {
     "pool_wait",  "merge_wait", "classifier_miss",
 };
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
   return buf;
 }
 
-u64 saturating_sub(u64 a, u64 b) noexcept { return a >= b ? a - b : 0; }
+// Each bucket's share of the snapshot's accounted nanoseconds.
+std::array<double, kCycleBucketCount> shares_of(
+    const ShardScalabilitySnapshot& d) {
+  std::array<double, kCycleBucketCount> share{};
+  const u64 accounted = d.accounted_ns();
+  for (std::size_t i = 0; accounted > 0 && i < kCycleBucketCount; ++i) {
+    share[i] = static_cast<double>(d.ns[i]) / static_cast<double>(accounted);
+  }
+  return share;
+}
 
 }  // namespace
 
@@ -82,19 +75,15 @@ ShardScalabilitySnapshot snapshot_delta(
     const ShardScalabilitySnapshot& then) noexcept {
   ShardScalabilitySnapshot d;
   for (std::size_t i = 0; i < kCycleBucketCount; ++i) {
-    d.ns[i] = saturating_sub(now.ns[i], then.ns[i]);
+    d.ns[i] = sat_sub(now.ns[i], then.ns[i]);
   }
-  d.pool_cas_retries = saturating_sub(now.pool_cas_retries,
-                                      then.pool_cas_retries);
-  d.ring_full_events = saturating_sub(now.ring_full_events,
-                                      then.ring_full_events);
-  d.backoff_spins = saturating_sub(now.backoff_spins, then.backoff_spins);
-  d.classifier_hits = saturating_sub(now.classifier_hits,
-                                     then.classifier_hits);
-  d.classifier_misses = saturating_sub(now.classifier_misses,
-                                       then.classifier_misses);
-  d.delivered = saturating_sub(now.delivered, then.delivered);
-  d.dropped = saturating_sub(now.dropped, then.dropped);
+  d.pool_cas_retries = sat_sub(now.pool_cas_retries, then.pool_cas_retries);
+  d.ring_full_events = sat_sub(now.ring_full_events, then.ring_full_events);
+  d.backoff_spins = sat_sub(now.backoff_spins, then.backoff_spins);
+  d.classifier_hits = sat_sub(now.classifier_hits, then.classifier_hits);
+  d.classifier_misses = sat_sub(now.classifier_misses, then.classifier_misses);
+  d.delivered = sat_sub(now.delivered, then.delivered);
+  d.dropped = sat_sub(now.dropped, then.dropped);
   d.threads = now.threads;
   return d;
 }
@@ -230,8 +219,9 @@ std::string ScalabilityReport::to_json() const {
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const Shard& sh = shards[s];
     if (s > 0) out << ",";
-    out << "{\"name\":\"" << escape(sh.name) << "\",\"accounted_seconds\":"
-        << fmt_double(sh.accounted_seconds) << ",\"pps\":"
+    out << "{\"name\":\"" << json::escape(sh.name)
+        << "\",\"accounted_seconds\":" << fmt_double(sh.accounted_seconds)
+        << ",\"pps\":"
         << fmt_double(sh.pps) << ",\"projected_pps\":"
         << fmt_double(sh.projected_pps) << ",";
     snapshot_json(sh.d, sh.share);
@@ -241,13 +231,14 @@ std::string ScalabilityReport::to_json() const {
       << fmt_double(total_accounted_seconds) << ",\"pps\":"
       << fmt_double(total_pps) << ",";
   snapshot_json(total, total_share);
-  out << "},\"top_contention_source\":\"" << escape(top_contention_source())
-      << "\",\"hw\":{\"source\":\"" << escape(hw.source) << "\"";
+  out << "},\"top_contention_source\":\""
+      << json::escape(top_contention_source()) << "\",\"hw\":{\"source\":\""
+      << json::escape(hw.source) << "\"";
   if (hw.source == "perf_event") {
     out << ",\"cache_misses\":" << hw.cache_misses
         << ",\"stalled_cycles\":" << hw.stalled_cycles;
   } else {
-    out << ",\"reason\":\"" << escape(hw.detail)
+    out << ",\"reason\":\"" << json::escape(hw.detail)
         << "\",\"proxy\":{\"pool_cas_retries\":" << total.pool_cas_retries
         << ",\"ring_full_events\":" << total.ring_full_events
         << ",\"backoff_spins\":" << total.backoff_spins << "}";
@@ -299,134 +290,24 @@ std::string ScalabilityReport::to_text() const {
   return out.str();
 }
 
-// ---------------------------------------------------------------------------
-// Profiler.
-
-ScalabilityProfiler::ScalabilityProfiler(Options options)
-    : options_(std::move(options)),
-      probe_cache_(std::make_shared<ProbeCache>()) {
-  if (!options_.clock) options_.clock = [] { return mono_now_ns(); };
-  baseline_ns_ = options_.clock();
-  // Open before the dataplane spawns its threads so inherit=1 covers them.
-  if (options_.enable_hw) hw_.open();
-}
-
-void ScalabilityProfiler::add_shard(std::string name, SnapshotFn fn) {
-  if (!fn) return;
-  const std::scoped_lock lock(mu_);
-  Source src;
-  src.name = std::move(name);
-  src.baseline = fn();
-  src.fn = std::move(fn);
-  sources_.push_back(std::move(src));
-}
-
-std::size_t ScalabilityProfiler::shard_count() const {
-  const std::scoped_lock lock(mu_);
-  return sources_.size();
-}
-
-void ScalabilityProfiler::reset_baseline() {
-  const std::scoped_lock lock(mu_);
-  for (Source& src : sources_) src.baseline = src.fn();
-  baseline_ns_ = options_.clock();
-  if (hw_.opened()) {
-    hw_baseline_ = hw_.read();
-    hw_baseline_set_ = true;
-  }
-}
-
-ScalabilityReport ScalabilityProfiler::report() const {
-  const std::scoped_lock lock(mu_);
-  ScalabilityReport rep;
-  const u64 now = options_.clock();
-  rep.wall_seconds =
-      static_cast<double>(saturating_sub(now, baseline_ns_)) / 1e9;
-
-  for (const Source& src : sources_) {
-    ScalabilityReport::Shard sh;
-    sh.name = src.name;
-    sh.d = snapshot_delta(src.fn(), src.baseline);
-    const u64 accounted = sh.d.accounted_ns();
-    sh.accounted_seconds = static_cast<double>(accounted) / 1e9;
-    for (std::size_t i = 0; i < kCycleBucketCount; ++i) {
-      sh.share[i] = accounted > 0 ? static_cast<double>(sh.d.ns[i]) /
-                                        static_cast<double>(accounted)
-                                  : 0.0;
-    }
-    sh.pps = rep.wall_seconds > 0
-                 ? static_cast<double>(sh.d.delivered) / rep.wall_seconds
-                 : 0.0;
-    const double useful =
-        sh.share[static_cast<std::size_t>(CycleBucket::kUseful)];
-    sh.projected_pps = useful > 1e-9 ? sh.pps / useful : sh.pps;
-    rep.total += sh.d;
-    rep.shards.push_back(std::move(sh));
-  }
-
-  const u64 total_accounted = rep.total.accounted_ns();
-  rep.total_accounted_seconds = static_cast<double>(total_accounted) / 1e9;
-  for (std::size_t i = 0; i < kCycleBucketCount; ++i) {
-    rep.total_share[i] =
-        total_accounted > 0 ? static_cast<double>(rep.total.ns[i]) /
-                                  static_cast<double>(total_accounted)
-                            : 0.0;
-  }
-  rep.total_pps = rep.wall_seconds > 0
-                      ? static_cast<double>(rep.total.delivered) /
-                            rep.wall_seconds
-                      : 0.0;
-
-  if (hw_.opened()) {
-    rep.hw = hw_.read();
-    if (rep.hw.source == "perf_event" && hw_baseline_set_) {
-      rep.hw.cache_misses =
-          saturating_sub(rep.hw.cache_misses, hw_baseline_.cache_misses);
-      rep.hw.stalled_cycles =
-          saturating_sub(rep.hw.stalled_cycles, hw_baseline_.stalled_cycles);
-    }
-  } else {
-    rep.hw.source = "software-proxy";
-    rep.hw.detail = hw_.error();
-  }
-  return rep;
-}
-
-void ScalabilityProfiler::register_probes(TimeseriesCollector& collector) {
-  const std::size_t shard_total = shard_count();
-  // One report per collector tick: the first probe sampled inside a 200ms
-  // window refreshes the cache, the rest read it. shared_ptr keeps the
-  // cache alive even if probes outlive a re-registered profiler.
-  std::shared_ptr<ProbeCache> cache = probe_cache_;
-  auto refreshed = [this, cache]() -> const ScalabilityReport& {
-    const u64 now = options_.clock();
-    if (cache->stamp_ns == 0 || saturating_sub(now, cache->stamp_ns) >
-                                    200ull * 1000 * 1000) {
-      cache->report = report();
-      cache->stamp_ns = now;
-    }
-    return cache->report;
+void ScalabilityReport::add_shard(std::string name,
+                                  const ShardScalabilitySnapshot& d) {
+  const auto per_second = [this](u64 count) {
+    return wall_seconds > 0 ? static_cast<double>(count) / wall_seconds : 0.0;
   };
-  for (std::size_t s = 0; s < shard_total; ++s) {
-    std::string shard_name;
-    {
-      const std::scoped_lock lock(mu_);
-      shard_name = sources_[s].name;
-    }
-    const Labels labels{{"shard", shard_name}};
-    for (std::size_t b = 0; b < kCycleBucketCount; ++b) {
-      collector.add_probe(
-          std::string("scalability_") + kBucketNames[b] + "_share", labels,
-          [refreshed, s, b] {
-            const ScalabilityReport& rep = refreshed();
-            return s < rep.shards.size() ? rep.shards[s].share[b] : 0.0;
-          });
-    }
-    collector.add_probe("scalability_projected_pps", labels, [refreshed, s] {
-      const ScalabilityReport& rep = refreshed();
-      return s < rep.shards.size() ? rep.shards[s].projected_pps : 0.0;
-    });
-  }
+  Shard& sh = shards.emplace_back();
+  sh.name = std::move(name);
+  sh.d = d;
+  sh.share = shares_of(d);
+  sh.accounted_seconds = static_cast<double>(d.accounted_ns()) / 1e9;
+  sh.pps = per_second(d.delivered);
+  const double useful =
+      sh.share[static_cast<std::size_t>(CycleBucket::kUseful)];
+  sh.projected_pps = useful > 1e-9 ? sh.pps / useful : sh.pps;
+  total += d;
+  total_share = shares_of(total);
+  total_accounted_seconds = static_cast<double>(total.accounted_ns()) / 1e9;
+  total_pps = per_second(total.delivered);
 }
 
 }  // namespace nfp::telemetry

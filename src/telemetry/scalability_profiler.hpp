@@ -1,8 +1,9 @@
-// Scalability profiler: attributes every lost packet-per-second when
-// shards scale.
+// Scalability view: attributes every lost packet-per-second when shards
+// scale. It is one of the three views telemetry::Observatory
+// (observatory.hpp) reads off each shard's snapshot.
 //
 // BENCH_shard_scaling.json says par4 at 2 shards runs at 0.609x the
-// 1-shard rate; this profiler answers *where* the other 39% went. The
+// 1-shard rate; this view answers *where* the other 39% went. The
 // model is per-thread cycle accounting: every dataplane loop (shard
 // worker, NF thread, merger) already reads the monotonic clock once per
 // iteration for its heartbeat, so each iteration's wall-time interval is
@@ -24,9 +25,9 @@
 // Backoff spins, microflow misses.
 //
 // Aggregation is scrape-time only: threads write their own
-// cacheline-aligned CycleCounters blocks; the profiler folds them into
-// ShardScalabilitySnapshots through per-shard callbacks when report() is
-// called. Nothing shared is written on the hot path.
+// cacheline-aligned CycleCounters blocks; the dataplane folds them into a
+// ShardScalabilitySnapshot when the observatory reports. Nothing shared
+// is written on the hot path.
 //
 // Hardware counters: when perf_event_open is permitted, cache-misses and
 // stalled backend cycles for the calling process are read per report.
@@ -39,17 +40,12 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace nfp::telemetry {
-
-class TimeseriesCollector;
 
 // Where a loop iteration's wall-time went. kCount is the array bound.
 enum class CycleBucket : unsigned {
@@ -207,63 +203,13 @@ struct ScalabilityReport {
   // was accounted.
   std::string top_contention_source() const;
 
+  // Appends one shard's delta and folds it into the totals. Shares and
+  // pps are computed against wall_seconds, so set it first.
+  void add_shard(std::string name, const ShardScalabilitySnapshot& d);
+
   std::string to_json() const;
   // Fixed-width attribution table for terminals (one row per shard + total).
   std::string to_text() const;
-};
-
-struct ScalabilityProfilerOptions {
-  bool enable_hw = true;       // attempt perf_event_open at construction
-  std::function<u64()> clock;  // ns; defaults to mono_now_ns
-};
-
-// Registry of shard snapshot callbacks + a baseline, folding live counters
-// into ScalabilityReports. Thread-safe: add_shard/reset_baseline/report
-// serialize on an internal mutex; the callbacks themselves only read
-// relaxed atomics owned by dataplane threads.
-class ScalabilityProfiler {
- public:
-  using Options = ScalabilityProfilerOptions;
-  using SnapshotFn = std::function<ShardScalabilitySnapshot()>;
-
-  explicit ScalabilityProfiler(Options options = {});
-
-  void add_shard(std::string name, SnapshotFn fn);
-  std::size_t shard_count() const;
-
-  // Re-zeroes the report: subsequent report() deltas are relative to the
-  // counter values and wall-clock now. Called after start() so thread
-  // spawn cost is excluded.
-  void reset_baseline();
-
-  ScalabilityReport report() const;
-  std::string to_json() const { return report().to_json(); }
-
-  // Publishes per-shard bucket shares (and pps) as timeseries probes named
-  // scalability_<bucket>_share{shard=...}. One underlying report per tick:
-  // the first probe sampled refreshes a cached report, the rest read it.
-  void register_probes(TimeseriesCollector& collector);
-
- private:
-  struct Source {
-    std::string name;
-    SnapshotFn fn;
-    ShardScalabilitySnapshot baseline;
-  };
-
-  struct ProbeCache {
-    ScalabilityReport report;
-    u64 stamp_ns = 0;
-  };
-
-  mutable std::mutex mu_;
-  Options options_;
-  std::vector<Source> sources_;
-  u64 baseline_ns_ = 0;
-  mutable HwCounterGroup hw_;
-  mutable HwSample hw_baseline_;
-  mutable bool hw_baseline_set_ = false;
-  std::shared_ptr<ProbeCache> probe_cache_;
 };
 
 }  // namespace nfp::telemetry

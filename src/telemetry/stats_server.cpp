@@ -19,10 +19,8 @@
 #include "telemetry/exporters.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/health_sampler.hpp"
-#include "telemetry/flow_observatory.hpp"
-#include "telemetry/latency_observatory.hpp"
+#include "telemetry/observatory.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/scalability_profiler.hpp"
 #include "telemetry/timeseries.hpp"
 #include "telemetry/tracer.hpp"
 
@@ -295,30 +293,25 @@ void register_standard_endpoints(StatsServer& server,
                                    timeseries->to_json()};
     });
   }
-  if (sources.scalability != nullptr) {
-    const ScalabilityProfiler* scalability = sources.scalability;
-    // Internally synchronized; snapshot callbacks read relaxed atomics.
-    server.handle("/scalability.json", [scalability] {
-      return StatsServer::Response{200, "application/json",
-                                   scalability->to_json()};
-    });
-  }
-  if (sources.latency != nullptr) {
-    const LatencyObservatory* latency = sources.latency;
-    // Internally synchronized; snapshot callbacks read relaxed atomics.
-    server.handle("/latency.json", [latency] {
-      return StatsServer::Response{200, "application/json",
-                                   latency->to_json()};
-    });
-  }
-  if (sources.flows != nullptr) {
-    const FlowObservatory* flows = sources.flows;
-    // Internally synchronized; snapshot callbacks lock per-shard
-    // accountants only while copying.
-    server.handle("/flows.json", [flows] {
-      return StatsServer::Response{200, "application/json",
-                                   flows->to_json()};
-    });
+  if (sources.observatory != nullptr) {
+    const Observatory* observatory = sources.observatory;
+    // One report per request; each path renders all or one of its views.
+    const auto serve = [&server, observatory](
+                           std::string path,
+                           std::string (*render)(const ObservatoryReport&)) {
+      server.handle(std::move(path), [observatory, render] {
+        return StatsServer::Response{200, "application/json",
+                                     render(observatory->report())};
+      });
+    };
+    serve("/observatory.json",
+          [](const ObservatoryReport& r) { return r.to_json(); });
+    serve("/scalability.json",
+          [](const ObservatoryReport& r) { return r.scalability.to_json(); });
+    serve("/latency.json",
+          [](const ObservatoryReport& r) { return r.latency.to_json(); });
+    serve("/flows.json",
+          [](const ObservatoryReport& r) { return r.flows.to_json(); });
   }
   if (sources.tracer != nullptr) {
     const Tracer* tracer = sources.tracer;

@@ -7,6 +7,8 @@
 //   GET /metrics          Prometheus text exposition (to_prometheus)
 //   GET /metrics.json     the same registry as JSON (to_json)
 //   GET /timeseries.json  TimeseriesCollector histories + derived rates
+//   GET /observatory.json the three views below from one report, so they
+//                         describe the same instant (ObservatoryReport)
 //   GET /scalability.json per-shard lost-pps attribution (ScalabilityReport)
 //   GET /latency.json     stage-resolved tail-latency report (LatencyReport)
 //   GET /flows.json       heavy hitters, churn, drop taxonomy (FlowReport)
@@ -47,9 +49,7 @@ class Tracer;
 class FlightRecorder;
 class Watchdog;
 class TimeseriesCollector;
-class ScalabilityProfiler;
-class LatencyObservatory;
-class FlowObservatory;
+class Observatory;
 
 class StatsServer {
  public:
@@ -109,16 +109,11 @@ struct EndpointSources {
   const FlightRecorder* recorder = nullptr;
   const Watchdog* watchdog = nullptr;
   TimeseriesCollector* timeseries = nullptr;
-  // Serves /scalability.json (per-shard lost-pps attribution). The
-  // profiler is internally synchronized; its snapshot callbacks read only
-  // relaxed atomics, so no shared mutex is needed.
-  const ScalabilityProfiler* scalability = nullptr;
-  // Serves /latency.json (stage-resolved tail latency). Internally
-  // synchronized like the profiler.
-  const LatencyObservatory* latency = nullptr;
-  // Serves /flows.json (heavy hitters, flow churn, drop-reason taxonomy,
-  // per-graph tenant accounting). Internally synchronized.
-  const FlowObservatory* flows = nullptr;
+  // Serves /observatory.json, /scalability.json, /latency.json and
+  // /flows.json. The observatory is internally synchronized; its shard
+  // callbacks read relaxed atomics and lock per-shard accountants only
+  // while copying, so no shared mutex is needed.
+  const Observatory* observatory = nullptr;
   // Held by handlers that iterate structurally-mutable state; share it
   // with whatever thread creates new series / records spans.
   std::mutex* mu = nullptr;

@@ -19,8 +19,7 @@
 #include "orch/compiler.hpp"
 #include "packet/builder.hpp"
 #include "policy/policy.hpp"
-#include "telemetry/latency_observatory.hpp"
-#include "telemetry/scalability_profiler.hpp"
+#include "telemetry/observatory.hpp"
 
 namespace nfp {
 namespace {
@@ -200,8 +199,8 @@ void wait_until_done(ShardedDataplane& dp, std::size_t expected) {
 }
 
 // The TSan workload: two RTC shards (fused parallel graph — every worker
-// runs the whole graph inline) while a scrape thread hammers the profiler
-// and observatory folds. Every telemetry cell the scraper touches is
+// runs the whole graph inline) while a scrape thread hammers the
+// observatory's folds. Every telemetry cell the scraper touches is
 // written concurrently by the workers.
 TEST(RtcExecutor, TwoShardRunSurvivesConcurrentScrapes) {
   const std::size_t kPackets = 4'000;
@@ -213,27 +212,21 @@ TEST(RtcExecutor, TwoShardRunSurvivesConcurrentScrapes) {
   ShardedDataplane dp({compile_chain({"ids", "monitor", "lb"})}, {}, opts);
   ASSERT_EQ(dp.exec_mode(), ExecMode::kRtc);
 
-  telemetry::ScalabilityProfilerOptions popt;
-  popt.enable_hw = false;
-  telemetry::ScalabilityProfiler prof(popt);
-  dp.register_scalability(prof);
-  telemetry::LatencyObservatory::Options lopt;
-  lopt.sample_every = 1;
-  telemetry::LatencyObservatory obs(lopt);
-  dp.register_latency(obs);
+  telemetry::ObservatoryOptions oopt;
+  oopt.enable_hw = false;
+  telemetry::Observatory obs(oopt);
+  dp.register_observatory(obs);
 
   ASSERT_TRUE(dp.start().is_ok());
-  prof.reset_baseline();
   obs.reset_baseline();
 
   std::atomic<bool> stop{false};
   std::thread scraper([&] {
     u64 scrapes = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const telemetry::ScalabilityReport srep = prof.report();
-      EXPECT_EQ(srep.shards.size(), 2u);
-      const telemetry::LatencyReport lrep = obs.report();
-      EXPECT_LE(lrep.sampled(), kPackets);
+      const telemetry::ObservatoryReport rep = obs.report();
+      EXPECT_EQ(rep.scalability.shards.size(), 2u);
+      EXPECT_LE(rep.latency.sampled(), kPackets);
       ++scrapes;
     }
     EXPECT_GT(scrapes, 0u);
@@ -266,17 +259,15 @@ TEST(RtcExecutor, FusedMergeKeepsMergeWaitEmpty) {
       opts);
   ASSERT_EQ(dp.exec_mode(), ExecMode::kRtc);
 
-  telemetry::LatencyObservatory::Options lopt;
-  lopt.sample_every = 1;
-  telemetry::LatencyObservatory obs(lopt);
-  dp.register_latency(obs);
+  telemetry::Observatory obs;
+  dp.register_observatory(obs);
   ASSERT_TRUE(dp.start().is_ok());
   obs.reset_baseline();
   for (const auto& frame : frames) {
     dp.feed({frame.data(), frame.size()});
   }
   wait_until_done(dp, kPackets);
-  const telemetry::LatencyReport rep = obs.report();
+  const telemetry::LatencyReport rep = obs.report().latency;
   const ShardedResult res = dp.drain();
   EXPECT_TRUE(res.status.is_ok());
   ASSERT_EQ(res.outputs.size(), kPackets);

@@ -2,7 +2,8 @@
 // pipeline, flow-consistent dispatch, live multi-graph classification
 // through the microflow cache, CPU-pinning reporting, the streaming /
 // run-once lifecycle contracts, and the per-shard packet pool (telemetry
-// counted once, every slot returned, teardown order, minimum size).
+// counted once, every slot returned, teardown order, minimum size), and
+// the refusal of frames longer than a packet slot on both feed paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "orch/compiler.hpp"
 #include "packet/builder.hpp"
 #include "policy/policy.hpp"
+#include "telemetry/flow_observatory.hpp"
 #include "telemetry/health_sampler.hpp"
 #include "telemetry/registry.hpp"
 
@@ -556,6 +558,85 @@ TEST(ShardedDataplane, ShaperRefillsFromLiveArrivalTimes) {
       }
       EXPECT_EQ(out_of_profile, 0u);
     }
+  }
+}
+
+// A frame longer than Packet::kMaxDataLen would overrun its slot. Valid
+// frames with one 4,000-B frame in the middle: the oversize frame is
+// refused (feed() returns false) as exactly one malformed drop, and every
+// valid frame still comes out byte for byte (monitors rewrite nothing).
+std::vector<std::vector<u8>> frames_with_one_oversize(std::size_t* index) {
+  auto frames = make_flow_frames(200, 8);
+  *index = frames.size() / 2;
+  std::vector<u8> oversize = frames[*index];
+  oversize.resize(4'000, 0xAB);
+  frames.insert(frames.begin() + static_cast<std::ptrdiff_t>(*index),
+                std::move(oversize));
+  return frames;
+}
+
+template <typename Plane>
+void expect_oversize_refused(Plane& plane,
+                             const std::vector<std::vector<u8>>& frames,
+                             std::size_t oversize) {
+  ASSERT_TRUE(plane.start().is_ok());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(plane.feed({frames[i].data(), frames[i].size()}),
+              i != oversize)
+        << "frame " << i;
+  }
+}
+
+std::multiset<std::vector<u8>> valid_frames(
+    const std::vector<std::vector<u8>>& frames, std::size_t oversize) {
+  std::multiset<std::vector<u8>> out(frames.begin(), frames.end());
+  out.erase(out.find(frames[oversize]));
+  return out;
+}
+
+TEST(ShardedDataplane, RefusesOversizeFrameAsMalformedDrop) {
+  std::size_t oversize = 0;
+  const auto frames = frames_with_one_oversize(&oversize);
+  for (const ExecMode mode : {ExecMode::kRtc, ExecMode::kPipelined}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    ShardedDataplaneOptions opts;
+    opts.shards = 2;
+    opts.pipeline.exec_mode = mode;
+    ShardedDataplane dp(
+        {ServiceGraph::sequential("mon", {"monitor", "monitor"})}, {}, opts);
+    expect_oversize_refused(dp, frames, oversize);
+    u64 malformed = 0;
+    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+      malformed += dp.flow_snapshot(s).drops[static_cast<std::size_t>(
+          telemetry::DropReason::kMalformed)];
+    }
+    const ShardedResult res = dp.drain();
+    ASSERT_TRUE(res.status.is_ok());
+    EXPECT_EQ(malformed, 1u);
+    EXPECT_EQ(res.dropped, 1u);
+    EXPECT_EQ(std::multiset<std::vector<u8>>(res.outputs.begin(),
+                                             res.outputs.end()),
+              valid_frames(frames, oversize));
+  }
+}
+
+TEST(LivePipeline, RefusesOversizeFrameAsMalformedDrop) {
+  std::size_t oversize = 0;
+  const auto frames = frames_with_one_oversize(&oversize);
+  for (const ExecMode mode : {ExecMode::kRtc, ExecMode::kPipelined}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    LivePipelineOptions opts;
+    opts.exec_mode = mode;
+    LivePipeline pipe(ServiceGraph::sequential("mon", {"monitor", "monitor"}),
+                      {}, opts);
+    expect_oversize_refused(pipe, frames, oversize);
+    const LiveResult res = pipe.drain();
+    ASSERT_TRUE(res.status.is_ok());
+    EXPECT_EQ(pipe.dropped_by(telemetry::DropReason::kMalformed), 1u);
+    EXPECT_EQ(res.dropped, 1u);
+    EXPECT_EQ(std::multiset<std::vector<u8>>(res.outputs.begin(),
+                                             res.outputs.end()),
+              valid_frames(frames, oversize));
   }
 }
 

@@ -4,7 +4,9 @@
 
 #include <limits>
 
+#include "common/json.hpp"
 #include "telemetry/exporters.hpp"
+#include "telemetry/flow_observatory.hpp"
 #include "telemetry/registry.hpp"
 
 namespace nfp::telemetry {
@@ -86,6 +88,30 @@ TEST(ExportersTest, JsonEscapesStrings) {
   reg.counter("weird", {{"label", "a\"b\\c"}}).inc();
   const std::string json = to_json(reg);
   EXPECT_NE(json.find("a\\\"b\\\\c"), std::string::npos);
+}
+
+TEST(ExportersTest, ControlBytesInLabelsAndStagesStayParseable) {
+  // JSON forbids raw control bytes inside strings; every renderer in
+  // telemetry escapes through json::escape, so \r and \x01 come out as
+  // escapes the parser accepts.
+  MetricsRegistry reg;
+  reg.counter("weird", {{"label", "a\rb\x01c"}}).inc();
+  const auto registry_doc = json::Value::parse(to_json(reg));
+  EXPECT_TRUE(registry_doc.is_ok()) << registry_doc.error();
+
+  DropExemplarRing ring;
+  ring.record(DropReason::kNfVerdict, "nf:a\rb\x01c", nullptr, 1);
+  FlowReport rep;
+  ShardFlowSnapshot shard;
+  shard.exemplars = ring.snapshot();
+  rep.add_shard("shard\r0", std::move(shard));
+  const auto flows_doc = json::Value::parse(rep.to_json());
+  ASSERT_TRUE(flows_doc.is_ok()) << flows_doc.error();
+  const json::Value* exemplars = flows_doc.value().find("exemplars");
+  ASSERT_NE(exemplars, nullptr);
+  ASSERT_EQ(exemplars->items().size(), 1u);
+  EXPECT_EQ(std::string(exemplars->items()[0].string_or("stage", "")),
+            "nf:a\rb\x01c");
 }
 
 TEST(ExportersTest, PrometheusEscapesLabelValues) {

@@ -1,7 +1,7 @@
-// Tests for the flow observatory: Space-Saving exactness within capacity
-// and error/presence bounds beyond it, top-10 precision under zipf traffic
-// vs exact counts, cross-shard merge exactness under disjoint RSS
-// sharding, the HyperLogLog cardinality estimate, the drop-reason
+// Tests for the observatory's flow view: Space-Saving exactness within
+// capacity and error/presence bounds beyond it, top-10 precision under
+// zipf traffic vs exact counts, cross-shard merge exactness under disjoint
+// RSS sharding, the HyperLogLog cardinality estimate, the drop-reason
 // taxonomy's exactness invariant (sum over reasons == dropped, induced for
 // ring_full / pool_exhausted / nf_verdict / classifier_miss /
 // shutdown_drain), per-graph tenant accounting, concurrent record/scrape
@@ -28,7 +28,7 @@
 #include "orch/compiler.hpp"
 #include "packet/builder.hpp"
 #include "policy/policy.hpp"
-#include "telemetry/flow_observatory.hpp"
+#include "telemetry/observatory.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/stats_server.hpp"
 #include "telemetry/timeseries.hpp"
@@ -38,12 +38,12 @@ namespace {
 
 using telemetry::DropExemplarRing;
 using telemetry::DropReason;
-using telemetry::FlowObservatory;
 using telemetry::FlowReport;
 using telemetry::FlowSample;
 using telemetry::HyperLogLog;
 using telemetry::kDropReasonCount;
 using telemetry::merge_topk;
+using telemetry::Observatory;
 using telemetry::ShardFlowAccountant;
 using telemetry::ShardFlowSnapshot;
 using telemetry::SpaceSaving;
@@ -141,10 +141,9 @@ u64 total_dropped(ShardedDataplane& dp) {
 }
 
 // The acceptance invariant: every drop carries a reason, exactly.
-void check_drop_sum_invariant(ShardedDataplane& dp,
-                              const FlowObservatory& obs) {
+void check_drop_sum_invariant(ShardedDataplane& dp, const Observatory& obs) {
   u64 by_reason = 0;
-  FlowReport rep = obs.report();
+  FlowReport rep = obs.report().flows;
   for (std::size_t r = 0; r < kDropReasonCount; ++r) {
     by_reason += rep.total.drops[r];
   }
@@ -315,7 +314,7 @@ TEST(FlowObservatoryTest, NewFlowCountedOncePerFlow) {
 // --- live sharded dataplane ----------------------------------------------
 
 // Runs `frames` on a dataplane and returns the flow report.
-FlowReport run_flows(ShardedDataplane& dp, FlowObservatory& obs,
+FlowReport run_flows(ShardedDataplane& dp, Observatory& obs,
                      const std::vector<std::vector<u8>>& frames) {
   EXPECT_TRUE(dp.start().is_ok());
   obs.reset_baseline();
@@ -323,7 +322,7 @@ FlowReport run_flows(ShardedDataplane& dp, FlowObservatory& obs,
     dp.feed({frame.data(), frame.size()});
   }
   wait_until_done(dp, frames.size());
-  return obs.report();
+  return obs.report().flows;
 }
 
 TEST(FlowObservatoryTest, CrossShardMergeMatchesSingleShardExactly) {
@@ -339,8 +338,8 @@ TEST(FlowObservatoryTest, CrossShardMergeMatchesSingleShardExactly) {
     opts.shards = shards;
     opts.heavy_hitter_capacity = 128;
     ShardedDataplane dp({compile_chain({"monitor"})}, {}, opts);
-    FlowObservatory obs;
-    dp.register_flows(obs);
+    Observatory obs;
+    dp.register_observatory(obs);
     const FlowReport rep = run_flows(dp, obs, frames);
     auto& out = shards == 1 ? single_counts : merged_counts;
     for (const SpaceSaving::Entry& e : rep.total.topk) {
@@ -361,8 +360,8 @@ TEST(FlowObservatoryTest, LiveZipfHeavyHittersAndChurn) {
   ShardedDataplaneOptions opts;
   opts.shards = 2;
   ShardedDataplane dp({compile_chain({"monitor"})}, {}, opts);
-  FlowObservatory obs;
-  dp.register_flows(obs);
+  Observatory obs;
+  dp.register_observatory(obs);
   EXPECT_EQ(obs.shard_count(), 2u);
   const FlowReport rep = run_flows(dp, obs, frames);
 
@@ -396,8 +395,8 @@ TEST(FlowObservatoryTest, InducedNfVerdictDropsCarryReason) {
   ShardedDataplaneOptions opts;
   opts.shards = 2;
   ShardedDataplane dp({compile_chain({"firewall"})}, drop_factory, opts);
-  FlowObservatory obs;
-  dp.register_flows(obs);
+  Observatory obs;
+  dp.register_observatory(obs);
   const FlowReport rep = run_flows(dp, obs, frames);
 
   EXPECT_EQ(rep.total.drops[static_cast<std::size_t>(DropReason::kNfVerdict)],
@@ -422,8 +421,8 @@ TEST(FlowObservatoryTest, InducedRingFullDropsCarryReason) {
   opts.ingest_ring_depth = 4;  // tiny RX ring: the director must tail-drop
   opts.drop_on_ingest_backpressure = true;
   ShardedDataplane dp({compile_chain({"monitor"})}, {}, opts);
-  FlowObservatory obs;
-  dp.register_flows(obs);
+  Observatory obs;
+  dp.register_observatory(obs);
   const FlowReport rep = run_flows(dp, obs, frames);
 
   // A tight feed loop against 4-deep rings must shed at least something.
@@ -484,8 +483,8 @@ TEST(FlowObservatoryTest, ClassifierDropRuleCountsClassifierMiss) {
   ShardedDataplane dp({compile_chain({"monitor"})}, {}, opts);
   // Scrub flow 0 (the elephant) at classification time.
   dp.add_flow_rule(test_tuple(0), LiveClassificationTable::kDropGraph);
-  FlowObservatory obs;
-  dp.register_flows(obs);
+  Observatory obs;
+  dp.register_observatory(obs);
   const FlowReport rep = run_flows(dp, obs, frames);
 
   const auto counts = zipf_counts(kFlows, 400);
@@ -506,14 +505,14 @@ TEST(FlowObservatoryTest, FeedWhileNotRunningCountsShutdownDrain) {
   ShardedDataplaneOptions opts;
   opts.shards = 2;
   ShardedDataplane dp({compile_chain({"monitor"})}, {}, opts);
-  FlowObservatory obs;
-  dp.register_flows(obs);
+  Observatory obs;
+  dp.register_observatory(obs);
 
   const auto frames = frames_for_sequence({0, 1, 2});
   for (const auto& frame : frames) {
     EXPECT_FALSE(dp.feed({frame.data(), frame.size()}));
   }
-  const FlowReport rep = obs.report();
+  const FlowReport rep = obs.report().flows;
   EXPECT_EQ(
       rep.total.drops[static_cast<std::size_t>(DropReason::kShutdownDrain)],
       frames.size());
@@ -547,8 +546,8 @@ TEST(FlowObservatoryTest, PerGraphTenantAccounting) {
     dp.add_flow_rule(test_tuple(f), 1);  // even flows -> dropping tenant
     steered += counts[f];
   }
-  FlowObservatory obs;
-  dp.register_flows(obs);
+  Observatory obs;
+  dp.register_observatory(obs);
   const FlowReport rep = run_flows(dp, obs, frames);
 
   ASSERT_EQ(rep.total.graphs.size(), 2u);
@@ -567,8 +566,12 @@ TEST(FlowObservatoryTest, PerGraphTenantAccounting) {
 
 TEST(FlowObservatoryTest, ConcurrentRecordAndScrape) {
   auto acct = std::make_shared<ShardFlowAccountant>(64, 1);
-  FlowObservatory obs;
-  obs.add_shard("shard0", [acct] { return acct->snapshot(); });
+  Observatory obs;
+  obs.add_shard("shard0", [acct] {
+    telemetry::ShardSnapshot snap;
+    snap.flows = acct->snapshot();
+    return snap;
+  });
   obs.reset_baseline();
 
   constexpr int kBursts = 100'000;
@@ -596,14 +599,14 @@ TEST(FlowObservatoryTest, ConcurrentRecordAndScrape) {
   u64 scrapes = 0;
   u64 last_packets = 0;
   do {
-    const FlowReport rep = obs.report();
+    const FlowReport rep = obs.report().flows;
     EXPECT_GE(rep.total.packets, last_packets) << "scrape went backwards";
     last_packets = rep.total.packets;
     ++scrapes;
   } while (!done.load(std::memory_order_acquire));
   worker.join();
   EXPECT_GT(scrapes, 0u);
-  const FlowReport rep = obs.report();
+  const FlowReport rep = obs.report().flows;
   EXPECT_EQ(rep.total.packets, static_cast<u64>(kBursts) * 2);
   EXPECT_EQ(rep.total.drops[static_cast<std::size_t>(DropReason::kNfVerdict)],
             static_cast<u64>((kBursts + 63) / 64));
@@ -617,8 +620,8 @@ TEST(FlowObservatoryTest, ReportJsonAndPrometheusShapes) {
   ShardedDataplaneOptions opts;
   opts.shards = 2;
   ShardedDataplane dp({compile_chain({"monitor"})}, {}, opts);
-  FlowObservatory obs;
-  dp.register_flows(obs);
+  Observatory obs;
+  dp.register_observatory(obs);
   const FlowReport rep = run_flows(dp, obs, frames);
 
   const auto doc = json::Value::parse(rep.to_json());
@@ -637,7 +640,7 @@ TEST(FlowObservatoryTest, ReportJsonAndPrometheusShapes) {
   ASSERT_NE(drops, nullptr);
   for (const char* reason :
        {"ring_full", "pool_exhausted", "nf_verdict", "classifier_miss",
-        "merge_overflow", "shutdown_drain"}) {
+        "merge_overflow", "shutdown_drain", "malformed"}) {
     EXPECT_GE(drops->number_or(reason, -1), 0.0) << reason;
   }
   const json::Value* shards = root.find("shards");
@@ -667,14 +670,14 @@ TEST(FlowObservatoryTest, ServesFlowsJsonOverLoopback) {
   ShardedDataplaneOptions opts;
   opts.shards = 1;
   ShardedDataplane dp({compile_chain({"monitor"})}, {}, opts);
-  FlowObservatory obs;
-  dp.register_flows(obs);
+  Observatory obs;
+  dp.register_observatory(obs);
   ASSERT_TRUE(dp.start().is_ok());
   obs.reset_baseline();
 
   telemetry::StatsServer server;
   telemetry::EndpointSources sources;
-  sources.flows = &obs;
+  sources.observatory = &obs;
   telemetry::register_standard_endpoints(server, sources);
   ASSERT_TRUE(server.start({}).is_ok());
 
@@ -699,8 +702,12 @@ TEST(FlowObservatoryTest, ServesFlowsJsonOverLoopback) {
 
 TEST(FlowObservatoryTest, RegistersTimeseriesProbes) {
   auto acct = std::make_shared<ShardFlowAccountant>(64, 1);
-  FlowObservatory obs;
-  obs.add_shard("shard0", [acct] { return acct->snapshot(); });
+  Observatory obs;
+  obs.add_shard("shard0", [acct] {
+    telemetry::ShardSnapshot snap;
+    snap.flows = acct->snapshot();
+    return snap;
+  });
 
   FlowSample s;
   s.tuple = test_tuple(3);

@@ -1,4 +1,4 @@
-// Tests for the latency observatory: HDR bucket geometry and the bounded
+// Tests for the observatory's latency view: HDR bucket geometry and the bounded
 // quantile error vs. exact sorted samples (uniform/zipf/bimodal inputs),
 // cross-shard merge associativity, concurrent record/scrape (the TSan
 // workload), the live sharded-dataplane stage decomposition — per-stage
@@ -19,7 +19,7 @@
 #include "dataplane/sharded_dataplane.hpp"
 #include "graph/service_graph.hpp"
 #include "packet/builder.hpp"
-#include "telemetry/latency_observatory.hpp"
+#include "telemetry/observatory.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/stats_server.hpp"
 #include "telemetry/timeseries.hpp"
@@ -31,10 +31,9 @@ using telemetry::HdrSnapshot;
 using telemetry::kLatBuckets;
 using telemetry::kLatencyStageCount;
 using telemetry::kLatSubBuckets;
-using telemetry::LatencyObservatory;
 using telemetry::LatencyReport;
+using telemetry::Observatory;
 using telemetry::LatencyStage;
-using telemetry::ShardLatencySnapshot;
 using telemetry::StageLatencyBlock;
 
 u64 xorshift(u64* s) {
@@ -205,14 +204,13 @@ TEST(LatencyObservatoryTest, DeltaSubtractsBaseline) {
 
 TEST(LatencyObservatoryTest, ConcurrentRecordAndScrape) {
   auto block = std::make_shared<StageLatencyBlock>();
-  LatencyObservatory::Options options;
-  options.sample_every = 1;
-  LatencyObservatory obs(options);
+  Observatory obs;
   obs.add_shard("shard0", [block] {
-    ShardLatencySnapshot snap;
+    telemetry::ShardSnapshot snap;
     for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
-      snap.stages[i] += block->snapshot(static_cast<LatencyStage>(i));
+      snap.latency.stages[i] += block->snapshot(static_cast<LatencyStage>(i));
     }
+    snap.sample_every = 1;
     return snap;
   });
   obs.reset_baseline();
@@ -230,7 +228,7 @@ TEST(LatencyObservatoryTest, ConcurrentRecordAndScrape) {
   u64 scrapes = 0;
   u64 last_count = 0;
   while (!done.load(std::memory_order_acquire)) {
-    const LatencyReport rep = obs.report();
+    const LatencyReport rep = obs.report().latency;
     const u64 count = rep.sampled();
     EXPECT_GE(count, last_count) << "scrape went backwards";
     last_count = count;
@@ -238,7 +236,7 @@ TEST(LatencyObservatoryTest, ConcurrentRecordAndScrape) {
   }
   writer.join();
   EXPECT_GT(scrapes, 0u);
-  const LatencyReport rep = obs.report();
+  const LatencyReport rep = obs.report().latency;
   EXPECT_EQ(rep.sampled(), static_cast<u64>(kWrites));
   EXPECT_EQ(rep.stage(LatencyStage::kService).count(),
             static_cast<u64>(kWrites));
@@ -287,10 +285,8 @@ LatencyReport run_live(const ServiceGraph& graph, std::size_t packets) {
   opts.pipeline.latency_sample_every = 1;
   ShardedDataplane dp({graph}, {}, opts);
 
-  LatencyObservatory::Options lat_options;
-  lat_options.sample_every = 1;
-  LatencyObservatory obs(lat_options);
-  dp.register_latency(obs);
+  Observatory obs;
+  dp.register_observatory(obs);
   EXPECT_EQ(obs.shard_count(), 2u);
 
   EXPECT_TRUE(dp.start().is_ok());
@@ -299,7 +295,7 @@ LatencyReport run_live(const ServiceGraph& graph, std::size_t packets) {
     dp.feed({frame.data(), frame.size()});
   }
   wait_until_done(dp, frames.size());
-  const LatencyReport rep = obs.report();
+  const LatencyReport rep = obs.report().latency;
   const ShardedResult res = dp.drain();
   EXPECT_TRUE(res.status.is_ok());
   return rep;
@@ -406,16 +402,14 @@ TEST(LatencyObservatoryTest, ServesLatencyJsonOverLoopback) {
   ShardedDataplane dp(
       {ServiceGraph::sequential("chain", {"monitor"})}, {}, opts);
 
-  LatencyObservatory::Options lat_options;
-  lat_options.sample_every = 1;
-  LatencyObservatory obs(lat_options);
-  dp.register_latency(obs);
+  Observatory obs;
+  dp.register_observatory(obs);
   ASSERT_TRUE(dp.start().is_ok());
   obs.reset_baseline();
 
   telemetry::StatsServer server;
   telemetry::EndpointSources sources;
-  sources.latency = &obs;
+  sources.observatory = &obs;
   telemetry::register_standard_endpoints(server, sources);
   ASSERT_TRUE(server.start({}).is_ok());
 
@@ -441,13 +435,13 @@ TEST(LatencyObservatoryTest, RegistersTimeseriesProbes) {
   auto block = std::make_shared<StageLatencyBlock>();
   block->record(LatencyStage::kTotal, 64'000);
   block->record(LatencyStage::kQueue, 8'000);
-  LatencyObservatory obs;
+  Observatory obs;
   obs.add_shard("shard0", [block] {
-    ShardLatencySnapshot snap;
+    telemetry::ShardSnapshot snap;
     for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
-      snap.stages[i] += block->snapshot(static_cast<LatencyStage>(i));
+      snap.latency.stages[i] += block->snapshot(static_cast<LatencyStage>(i));
     }
-    snap.queue_depth = 5;
+    snap.latency.queue_depth = 5;
     return snap;
   });
   // add_shard captured the two records above as the baseline; record the

@@ -1,9 +1,10 @@
-// Tests for the scalability profiler: the cycle-accountant's exact
-// wall-time partition, synthetic and live attribution reports (per-shard
-// bucket shares summing to 100% of accounted shard-seconds), the JSON
-// schema, the /scalability.json loopback endpoint, honest hardware-counter
-// fallback, and the timeseries probes. The concurrent-scrape test doubles
-// as the TSan workload for report() against a running dataplane.
+// Tests for the observatory's scalability view: the cycle-accountant's
+// exact wall-time partition, synthetic and live attribution reports
+// (per-shard bucket shares summing to 100% of accounted shard-seconds),
+// the JSON schema, the /scalability.json loopback endpoint, honest
+// hardware-counter fallback, and the timeseries probes. The
+// concurrent-scrape test doubles as the TSan workload for report()
+// against a running dataplane.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,7 +18,7 @@
 #include "packet/builder.hpp"
 #include "policy/policy.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/scalability_profiler.hpp"
+#include "telemetry/observatory.hpp"
 #include "telemetry/stats_server.hpp"
 #include "telemetry/timeseries.hpp"
 
@@ -28,10 +29,19 @@ using telemetry::CycleAccountant;
 using telemetry::CycleBucket;
 using telemetry::CycleCounters;
 using telemetry::kCycleBucketCount;
-using telemetry::ScalabilityProfiler;
-using telemetry::ScalabilityProfilerOptions;
+using telemetry::Observatory;
+using telemetry::ObservatoryOptions;
 using telemetry::ScalabilityReport;
 using telemetry::ShardScalabilitySnapshot;
+
+// An observatory source that reports only `*snap`'s scalability view.
+Observatory::SnapshotFn cycles_of(const ShardScalabilitySnapshot* snap) {
+  return [snap] {
+    telemetry::ShardSnapshot shard;
+    shard.cycles = *snap;
+    return shard;
+  };
+}
 
 ServiceGraph compile_chain(const std::vector<std::string>& chain) {
   const ActionTable table = ActionTable::with_builtin_nfs();
@@ -129,13 +139,13 @@ TEST(ScalabilityProfilerTest, SnapshotDeltaSaturates) {
 
 TEST(ScalabilityProfilerTest, SyntheticSharesSumToOne) {
   u64 clock = 0;
-  ScalabilityProfilerOptions opt;
+  ObservatoryOptions opt;
   opt.enable_hw = false;
   opt.clock = [&clock] { return clock; };
 
   ShardScalabilitySnapshot snap;
-  ScalabilityProfiler prof(opt);
-  prof.add_shard("s0", [&snap] { return snap; });
+  Observatory prof(opt);
+  prof.add_shard("s0", cycles_of(&snap));
 
   snap.ns = {600'000'000, 200'000'000, 100'000'000,
              50'000'000,  25'000'000,  25'000'000};
@@ -143,7 +153,7 @@ TEST(ScalabilityProfilerTest, SyntheticSharesSumToOne) {
   snap.threads = 2;
   clock = 2'000'000'000;  // 2s wall
 
-  const ScalabilityReport rep = prof.report();
+  const ScalabilityReport rep = prof.report().scalability;
   ASSERT_EQ(rep.shards.size(), 1u);
   const ScalabilityReport::Shard& sh = rep.shards[0];
   EXPECT_EQ(sh.name, "s0");
@@ -162,19 +172,19 @@ TEST(ScalabilityProfilerTest, SyntheticSharesSumToOne) {
 
 TEST(ScalabilityProfilerTest, BaselineResetZeroesTheDelta) {
   u64 clock = 0;
-  ScalabilityProfilerOptions opt;
+  ObservatoryOptions opt;
   opt.enable_hw = false;
   opt.clock = [&clock] { return clock; };
 
   ShardScalabilitySnapshot snap;
   snap.ns[0] = 400;
   snap.delivered = 77;
-  ScalabilityProfiler prof(opt);
-  prof.add_shard("s0", [&snap] { return snap; });
+  Observatory prof(opt);
+  prof.add_shard("s0", cycles_of(&snap));
 
   clock = 1'000'000'000;
   prof.reset_baseline();
-  const ScalabilityReport rep = prof.report();
+  const ScalabilityReport rep = prof.report().scalability;
   ASSERT_EQ(rep.shards.size(), 1u);
   EXPECT_EQ(rep.shards[0].d.accounted_ns(), 0u);
   EXPECT_EQ(rep.shards[0].d.delivered, 0u);
@@ -182,19 +192,19 @@ TEST(ScalabilityProfilerTest, BaselineResetZeroesTheDelta) {
 
 TEST(ScalabilityProfilerTest, JsonSchemaParses) {
   u64 clock = 0;
-  ScalabilityProfilerOptions opt;
+  ObservatoryOptions opt;
   opt.enable_hw = false;
   opt.clock = [&clock] { return clock; };
 
   ShardScalabilitySnapshot snap;
-  ScalabilityProfiler prof(opt);
-  prof.add_shard("shard0", [&snap] { return snap; });
+  Observatory prof(opt);
+  prof.add_shard("shard0", cycles_of(&snap));
   snap.ns = {80, 10, 5, 3, 1, 1};
   snap.delivered = 42;
   snap.ring_full_events = 7;
   clock = 1'000'000'000;
 
-  const auto doc = json::Value::parse(prof.to_json());
+  const auto doc = json::Value::parse(prof.report().scalability.to_json());
   ASSERT_TRUE(doc.is_ok()) << doc.error();
   const json::Value& root = doc.value();
   EXPECT_GT(root.number_or("wall_seconds", 0), 0.0);
@@ -227,8 +237,8 @@ TEST(ScalabilityProfilerTest, HwSourceIsHonest) {
   // Default options attempt perf_event_open. Whatever the kernel decides,
   // the report must say so: either real hardware numbers or an explicit
   // software-proxy fallback with the reason — never fabricated values.
-  ScalabilityProfiler prof;
-  const ScalabilityReport rep = prof.report();
+  Observatory prof;
+  const ScalabilityReport rep = prof.report().scalability;
   if (rep.hw.source == "perf_event") {
     SUCCEED();
   } else {
@@ -246,10 +256,10 @@ TEST(ScalabilityProfilerTest, LiveAttributionSumsToAccountedTime) {
   opts.shards = 2;
   ShardedDataplane dp({compile_chain({"monitor", "lb"})}, {}, opts);
 
-  ScalabilityProfilerOptions popt;
+  ObservatoryOptions popt;
   popt.enable_hw = false;
-  ScalabilityProfiler prof(popt);
-  dp.register_scalability(prof);
+  Observatory prof(popt);
+  dp.register_observatory(prof);
   ASSERT_EQ(prof.shard_count(), 2u);
 
   ASSERT_TRUE(dp.start().is_ok());
@@ -262,7 +272,7 @@ TEST(ScalabilityProfilerTest, LiveAttributionSumsToAccountedTime) {
   // the partition is tested across busy and idle regimes.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  const ScalabilityReport rep = prof.report();
+  const ScalabilityReport rep = prof.report().scalability;
   const ShardedResult res = dp.drain();
   ASSERT_TRUE(res.status.is_ok());
 
@@ -304,16 +314,16 @@ TEST(ScalabilityProfilerTest, ServesScalabilityJsonOverLoopback) {
   opts.shards = 1;
   ShardedDataplane dp({compile_chain({"monitor"})}, {}, opts);
 
-  ScalabilityProfilerOptions popt;
+  ObservatoryOptions popt;
   popt.enable_hw = false;
-  ScalabilityProfiler prof(popt);
-  dp.register_scalability(prof);
+  Observatory prof(popt);
+  dp.register_observatory(prof);
   ASSERT_TRUE(dp.start().is_ok());
   prof.reset_baseline();
 
   telemetry::StatsServer server;
   telemetry::EndpointSources sources;
-  sources.scalability = &prof;
+  sources.observatory = &prof;
   telemetry::register_standard_endpoints(server, sources);
   ASSERT_TRUE(server.start({}).is_ok());
 
@@ -350,10 +360,10 @@ TEST(ScalabilityProfilerTest, ConcurrentScrapeIsRaceFree) {
   opts.shards = 2;
   ShardedDataplane dp({compile_chain({"monitor", "lb"})}, {}, opts);
 
-  ScalabilityProfilerOptions popt;
+  ObservatoryOptions popt;
   popt.enable_hw = false;
-  ScalabilityProfiler prof(popt);
-  dp.register_scalability(prof);
+  Observatory prof(popt);
+  dp.register_observatory(prof);
   ASSERT_TRUE(dp.start().is_ok());
   prof.reset_baseline();
 
@@ -362,7 +372,7 @@ TEST(ScalabilityProfilerTest, ConcurrentScrapeIsRaceFree) {
   for (int t = 0; t < 3; ++t) {
     scrapers.emplace_back([&prof, &feeding] {
       while (feeding.load(std::memory_order_acquire)) {
-        const ScalabilityReport rep = prof.report();
+        const ScalabilityReport rep = prof.report().scalability;
         ASSERT_FALSE(rep.to_json().empty());
       }
     });
@@ -376,7 +386,7 @@ TEST(ScalabilityProfilerTest, ConcurrentScrapeIsRaceFree) {
 
   // Report before drain(): drain moves the delivered frames out of the
   // pipelines, so post-drain snapshots legitimately read zero delivered.
-  const ScalabilityReport final_rep = prof.report();
+  const ScalabilityReport final_rep = prof.report().scalability;
   EXPECT_EQ(final_rep.total.delivered + final_rep.total.dropped,
             frames.size());
   const ShardedResult res = dp.drain();
@@ -387,13 +397,13 @@ TEST(ScalabilityProfilerTest, ConcurrentScrapeIsRaceFree) {
 
 TEST(ScalabilityProfilerTest, ProbesPublishPerShardShares) {
   u64 clock = 0;
-  ScalabilityProfilerOptions opt;
+  ObservatoryOptions opt;
   opt.enable_hw = false;
   opt.clock = [&clock] { return clock; };
 
   ShardScalabilitySnapshot snap;
-  ScalabilityProfiler prof(opt);
-  prof.add_shard("s0", [&snap] { return snap; });
+  Observatory prof(opt);
+  prof.add_shard("s0", cycles_of(&snap));
   snap.ns = {600, 400, 0, 0, 0, 0};
   snap.delivered = 10;
   clock = 1'000'000'000;

@@ -1,50 +1,31 @@
 #!/usr/bin/env python3
-"""Compare a bench's --json output against a checked-in baseline and fail
-on a >30% per-series throughput regression.
+"""Gate a bench's --json output: fail on a >30% per-series throughput
+regression against a checked-in baseline, or on instrumentation overhead.
 
 Usage:
-  check_hotpath_regression.py --baseline bench/baselines/BENCH_hotpath_throughput.json \
-      --current current.jsonl [--threshold 0.7] [--bench hotpath_throughput]
+  check_hotpath_regression.py --baseline bench/baselines/BENCH_shard_scaling.json \
+      --current current.jsonl [--threshold 0.7] [--bench shard_scaling]
   check_hotpath_regression.py --merge-min run1.jsonl run2.jsonl ... > baseline.json
   check_hotpath_regression.py --overhead current.jsonl [--overhead-threshold 0.05]
-  check_hotpath_regression.py --burst-monotonic current.jsonl
 
---bench selects which bench's rows to read (default hotpath_throughput;
-shard_scaling for bench_shard_scaling output, classifier_scale for
-bench_classifier_scale output — its series are named
-`<hit|miss>/<tuple|linear>/rules<N>k` and pps is classifier lookups per
-second). shard_scaling series are
-named `<shape>/<mode>/shards<N>` (e.g. par4/rtc/shards2) where mode is the
-execution mode — `pipelined` (thread-per-NF + rings + merger) or `rtc`
-(fused run-to-completion) — so each mode carries its own baseline and a
-regression in either path is caught independently.
+--bench selects which bench's rows to read: shard_scaling (the default),
+the live bench, whose pps series are `<shape>/burst<N>` (a standalone
+pipelined LivePipeline) and `<shape>/<mode>/shards<N>` (the sharded plane
+in mode pipelined or rtc, each with its own baseline), each row the median
+of repeated runs; or classifier_scale (series
+`<hit|miss>/<tuple|linear>/rules<N>k`, pps = lookups per second).
 
---burst-monotonic is a warn-level sanity gate on one hotpath run: for every
-`<base>/burst32` / `<base>/burst64` series pair, print WARN when the larger
-burst is slower. Burst 64 amortises ring and magazine hand-offs over twice
-the packets, so it should never lose to burst 32 except through scheduler
-noise — a consistent inversion usually means a batching path picked up
-per-packet work. Noise on small CI hosts is real, so this mode always
-exits 0; it flags, it does not fail.
+--overhead fails when, for any `<base>-acct` / `<base>-noacct` pair in one
+run, the median paired overhead 1 - acct/noacct exceeds
+--overhead-threshold (default 5%). The bench prints one line per rep and
+side, the side that runs first alternating; lines pair in emission order,
+because back-to-back reps share the host's load regime, and the median
+keeps a few load-tainted reps from failing a healthy run.
 
---overhead gates instrumentation cost: for every `<base>-acct` /
-`<base>-noacct` pair in one run of bench_hotpath_throughput, fail when the
-accounting-on series is more than --overhead-threshold (default 5%) slower
-than its accounting-off control. Run position is a real confound (later
-identical runs measure faster on small hosts), so the bench interleaves the
-sides within one process invocation; `<base>-noacct` pairs with
-`<base>-acct` when present, else with the plain `<base>` series. When a
-series has several lines (the bench emits one line per rep), lines are
-paired in emission order — back-to-back reps share the host's load regime —
-and the *median* paired overhead is gated, so a transient load spike that
-taints a couple of reps cannot fail an otherwise healthy run.
-
-Both files hold one JSON object per line as emitted by the bench:
-  {"bench":"hotpath_throughput","series":"par4/burst32",...,"pps":1234.5,...}
-When a file contains several lines for one series (e.g. concatenated runs),
-the *minimum* pps per series is used — conservative for the baseline and
-forgiving of scheduler noise in the current run. `--merge-min` prints that
-reduction, which is how the checked-in baseline is produced.
+Files hold one JSON object per line as emitted by the bench. A series with
+several lines (e.g. concatenated runs) reads as its minimum pps:
+conservative for the baseline, forgiving of noise in the current run.
+`--merge-min` prints that reduction, which is how baselines are produced.
 """
 
 import argparse
@@ -52,46 +33,72 @@ import json
 import sys
 
 
-def load_series_lines(path, bench):
+def load_series_lines(paths, bench):
     """dict series -> list of rows in file (emission) order."""
     series = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line.startswith("{"):
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if row.get("bench") != bench:
-                continue
-            if row.get("series") is None or row.get("pps") is None:
-                continue
-            series.setdefault(row["series"], []).append(row)
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line.startswith("{"):
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                if row.get("bench") != bench:
+                    continue
+                if row.get("series") is None or row.get("pps") is None:
+                    continue
+                series.setdefault(row["series"], []).append(row)
     return series
 
 
-def load_series(path, bench):
-    """dict series -> min pps across the file's lines."""
-    series = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line.startswith("{"):
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if row.get("bench") != bench:
-                continue
-            name, pps = row.get("series"), row.get("pps")
-            if name is None or pps is None:
-                continue
-            if name not in series or pps < series[name]["pps"]:
-                series[name] = row
-    return series
+def load_series(paths, bench):
+    """dict series -> the row with the minimum pps across the files."""
+    return {name: min(rows, key=lambda row: row["pps"])
+            for name, rows in load_series_lines(paths, bench).items()}
+
+
+def report(failures, problem, summary):
+    """Exit status 1 with the failures on stderr, else 0 with the summary."""
+    if failures:
+        print(f"\n{len(failures)} {problem}:", file=sys.stderr)
+        for f in failures:
+            print(f"  {f}", file=sys.stderr)
+        return 1
+    print(f"\n{summary}")
+    return 0
+
+
+def check_overhead(path, bench, threshold):
+    current = load_series_lines([path], bench)
+    pairs = [(name[: -len("-noacct")] + "-acct", name)
+             for name in sorted(current)
+             if name.endswith("-noacct")
+             and name[: -len("-noacct")] + "-acct" in current]
+    if not pairs:
+        print(f"error: no acct/noacct series pairs in {path}",
+              file=sys.stderr)
+        return 2
+    failures = []
+    for acct_name, noacct_name in pairs:
+        acct_pps = [row["pps"] for row in current[acct_name]]
+        noacct_pps = [row["pps"] for row in current[noacct_name]]
+        per_rep = sorted(1 - a / n if n > 0 else 0.0
+                         for a, n in zip(acct_pps, noacct_pps))
+        overhead = per_rep[len(per_rep) // 2]
+        status = "ok" if overhead <= threshold else "OVERHEAD"
+        print(f"{acct_name:24s} median-paired-overhead={overhead:7.1%} "
+              f"({len(per_rep)} reps)  {status}")
+        if overhead > threshold:
+            failures.append(
+                f"{acct_name}: accounting costs {overhead:.1%} pps "
+                f"(median of {len(per_rep)} paired reps, "
+                f"> {threshold:.0%})")
+    return report(failures, "series exceed the accounting-overhead budget",
+                  f"all {len(pairs)} acct/noacct pairs within "
+                  f"{threshold:.0%} overhead")
 
 
 def main():
@@ -102,101 +109,20 @@ def main():
                         help="fail when current < threshold * baseline")
     parser.add_argument("--merge-min", nargs="+", metavar="RUN",
                         help="merge runs into a min-per-series baseline")
-    parser.add_argument("--bench", default="hotpath_throughput",
+    parser.add_argument("--bench", default="shard_scaling",
                         help="bench name whose JSON rows to compare")
     parser.add_argument("--overhead", metavar="RUN",
                         help="check acct/noacct series pairs in one run")
     parser.add_argument("--overhead-threshold", type=float, default=0.05,
                         help="max tolerated accounting overhead (fraction)")
-    parser.add_argument("--burst-monotonic", metavar="RUN",
-                        help="warn when a burst64 series is slower than its "
-                             "burst32 sibling (always exits 0)")
     args = parser.parse_args()
 
-    if args.burst_monotonic:
-        current = load_series(args.burst_monotonic, args.bench)
-        pairs = []
-        for name in sorted(current):
-            if not name.endswith("/burst32"):
-                continue
-            sibling = name[: -len("32")] + "64"
-            if sibling in current:
-                pairs.append((name, sibling))
-        if not pairs:
-            print(f"error: no burst32/burst64 series pairs in "
-                  f"{args.burst_monotonic}", file=sys.stderr)
-            return 2
-        warned = 0
-        for b32_name, b64_name in pairs:
-            b32 = current[b32_name]["pps"]
-            b64 = current[b64_name]["pps"]
-            ratio = b64 / b32 if b32 > 0 else float("inf")
-            status = "ok" if ratio >= 1.0 else "WARN: burst64 slower"
-            print(f"{b64_name:24s} burst32={b32:12.0f} burst64={b64:12.0f} "
-                  f"ratio={ratio:5.2f}  {status}")
-            if ratio < 1.0:
-                warned += 1
-        if warned:
-            print(f"\n{warned}/{len(pairs)} shapes lose throughput at the "
-                  f"larger burst (warn-only: scheduler noise on small hosts "
-                  f"makes this gate advisory)")
-        else:
-            print(f"\nall {len(pairs)} shapes monotone in burst size")
-        return 0
-
     if args.overhead:
-        current = load_series_lines(args.overhead, args.bench)
-        pairs = []
-        for name in sorted(current):
-            if not name.endswith("-noacct"):
-                continue
-            base = name[: -len("-noacct")]
-            acct_name = base + "-acct" if base + "-acct" in current else base
-            if acct_name in current:
-                pairs.append((acct_name, name))
-        if not pairs:
-            print(f"error: no acct/noacct series pairs in {args.overhead}",
-                  file=sys.stderr)
-            return 2
-        failures = []
-        for acct_name, noacct_name in pairs:
-            acct_pps = [row["pps"] for row in current[acct_name]]
-            noacct_pps = [row["pps"] for row in current[noacct_name]]
-            # Pair reps in emission order (adjacent reps share the host's
-            # load regime); with a single line per side this degenerates to
-            # the plain ratio. Gate the median paired overhead.
-            per_rep = [1 - a / n if n > 0 else 0.0
-                       for a, n in zip(acct_pps, noacct_pps)]
-            per_rep.sort()
-            overhead = per_rep[len(per_rep) // 2]
-            acct = max(acct_pps)
-            noacct = max(noacct_pps)
-            status = ("ok" if overhead <= args.overhead_threshold
-                      else "OVERHEAD")
-            print(f"{acct_name:24s} acct={acct:12.0f} noacct={noacct:12.0f} "
-                  f"median-paired-overhead={overhead:7.1%} "
-                  f"({len(per_rep)} reps)  {status}")
-            if overhead > args.overhead_threshold:
-                failures.append(
-                    f"{acct_name}: accounting costs {overhead:.1%} pps "
-                    f"(median of {len(per_rep)} paired reps, "
-                    f"> {args.overhead_threshold:.0%})")
-        if failures:
-            print(f"\n{len(failures)} series exceed the accounting-overhead "
-                  f"budget:", file=sys.stderr)
-            for f in failures:
-                print(f"  {f}", file=sys.stderr)
-            return 1
-        print(f"\nall {len(pairs)} acct/noacct pairs within "
-              f"{args.overhead_threshold:.0%} overhead")
-        return 0
+        return check_overhead(args.overhead, args.bench,
+                              args.overhead_threshold)
 
     if args.merge_min:
-        merged = {}
-        for path in args.merge_min:
-            for name, row in load_series(path, args.bench).items():
-                if name not in merged or row["pps"] < merged[name]["pps"]:
-                    merged[name] = row
+        merged = load_series(args.merge_min, args.bench)
         for name in sorted(merged):
             print(json.dumps(merged[name], sort_keys=True))
         return 0
@@ -204,8 +130,8 @@ def main():
     if not args.baseline or not args.current:
         parser.error("--baseline and --current are required (or --merge-min)")
 
-    baseline = load_series(args.baseline, args.bench)
-    current = load_series(args.current, args.bench)
+    baseline = load_series([args.baseline], args.bench)
+    current = load_series([args.current], args.bench)
     if not baseline:
         print(f"error: no baseline series in {args.baseline}", file=sys.stderr)
         return 2
@@ -229,18 +155,9 @@ def main():
                 f"{name}: {cur_pps:.0f} pps < {args.threshold:.0%} of "
                 f"baseline {base_pps:.0f} pps")
 
-    for name in sorted(set(current) - set(baseline)):
-        print(f"{name:24s} (new series, no baseline)")
-
-    if failures:
-        print(f"\n{len(failures)} series regressed >"
-              f"{(1 - args.threshold):.0%}:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    print(f"\nall {len(baseline)} series within "
-          f"{(1 - args.threshold):.0%} of baseline")
-    return 0
+    return report(failures, f"series regressed >{1 - args.threshold:.0%}",
+                  f"all {len(baseline)} series within "
+                  f"{1 - args.threshold:.0%} of baseline")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@
 //     MergeTable per parallel segment with fixed-capacity arrival rows,
 //   * batched result delivery — completed outputs and drops are buffered
 //     thread-locally and the result lock is taken once per burst.
-// bench_hotpath_throughput measures it.
+// bench_shard_scaling's `<shape>/burst{32,64}` series measure it.
 #pragma once
 
 #include <array>
@@ -97,8 +97,9 @@ struct LivePipelineOptions {
   int pin_core = -1;
   // Per-thread cycle accounting for the scalability profiler. On by
   // default: the hot-path cost is one relaxed add to a thread-private
-  // cacheline per loop iteration (bench_hotpath_throughput's noacct series
-  // measures it). Off disables all bucket/wait attribution.
+  // cacheline per loop iteration (bench_shard_scaling's burst32-acct /
+  // burst32-noacct pair gates it at 5%). Off disables all bucket/wait
+  // attribution.
   bool cycle_accounting = true;
   // Latency-observatory sampling: stamp and stage-time 1 in N packets
   // (0 = off, the default). feed() samples pid % N; feed_packet() takes the

@@ -14,6 +14,16 @@ namespace nfp {
 
 namespace {
 
+// Worker-side dequeue burst; never more than the RX ring holds.
+constexpr std::size_t kIngestBurst = 32;
+// Space-Saving slots per shard (flows with count > N/capacity are
+// guaranteed present).
+constexpr std::size_t kHeavyHitterCapacity = 128;
+
+std::size_t ingest_burst(const ShardedDataplaneOptions& options) {
+  return std::min(kIngestBurst, options.ingest_ring_depth);
+}
+
 // Worker-private flow-sample accumulator: collapses same-flow packets
 // across bursts into one FlowSample per (flow, graph) via a small
 // open-addressed table, then folds the whole epoch into the shard's
@@ -121,12 +131,10 @@ ShardedDataplane::ShardedDataplane(std::vector<ServiceGraph> graphs,
   opts_.shards = std::max<std::size_t>(1, opts_.shards);
   opts_.ingest_ring_depth =
       std::bit_ceil(std::max<std::size_t>(4, opts_.ingest_ring_depth));
-  opts_.ingest_burst =
-      std::clamp<std::size_t>(opts_.ingest_burst, 1, opts_.ingest_ring_depth);
   // The shard pool's floor, by the sizing rule in the header.
   const std::size_t magazine = opts_.pipeline.magazine_size;
   std::size_t demand =
-      opts_.ingest_ring_depth + opts_.ingest_burst + 1 + 2 * magazine;
+      opts_.ingest_ring_depth + ingest_burst(opts_) + 1 + 2 * magazine;
   for (const ServiceGraph& graph : graphs_) {
     demand += LivePipeline::pool_demand(graph, opts_.pipeline);
   }
@@ -144,8 +152,7 @@ ShardedDataplane::ShardedDataplane(std::vector<ServiceGraph> graphs,
     sh.heartbeat_ns = std::make_unique<std::atomic<u64>>(0);
     sh.busy_ns = std::make_unique<telemetry::OwnedCounter>();
     sh.flows = std::make_unique<telemetry::ShardFlowAccountant>(
-        opts_.heavy_hitter_capacity, graphs_.size(),
-        opts_.drop_exemplar_capacity);
+        kHeavyHitterCapacity, graphs_.size());
     if (opts_.pipeline.cycle_accounting) {
       sh.cycles = std::make_unique<telemetry::CycleCounters>();
       sh.director_cycles = std::make_unique<telemetry::CycleCounters>();
@@ -297,7 +304,7 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
     }
   }
   Shard& sh = shards_[shard_idx];
-  std::vector<IngestDesc> burst(opts_.ingest_burst);
+  std::vector<IngestDesc> burst(ingest_burst(opts_));
   // Takes the slots of frames a CT drop rule scrubs; every other frame's
   // slot passes to its pipeline.
   PacketMagazine mag(*sh.pool, opts_.pipeline.magazine_size);

@@ -79,19 +79,12 @@ struct ShardedDataplaneOptions {
   // to the minimum the shard's ring, magazines and graphs need.
   std::size_t ingest_ring_depth = 1024;
   std::size_t ingest_pool_size = 2048;
-  // Worker-side dequeue burst.
-  std::size_t ingest_burst = 32;
   // Flow observatory recording (heavy hitters, churn, per-graph traffic).
   // On by default like cycle_accounting: the per-burst amortized cost is
-  // gated at 5% by bench_hotpath_throughput's flow32-acct/noacct pair.
+  // gated at 5% by bench_shard_scaling's sharded/flow32-acct/noacct pair.
   // Drop-reason counting is NOT gated by this — drops always carry a
   // reason; this only disables the per-burst sketch updates.
   bool flow_accounting = true;
-  // Space-Saving slots per shard (flows with count > N/capacity are
-  // guaranteed present).
-  std::size_t heavy_hitter_capacity = 128;
-  // Sampled drop exemplars retained per shard.
-  std::size_t drop_exemplar_capacity = 64;
   // When set, the director drops (with a reason) instead of blocking when
   // a shard's pool is dry or its RX ring is full — the NIC-like
   // tail-drop policy. Default keeps the lossless blocking behaviour.

@@ -96,7 +96,6 @@ class Packet {
     data_off_ = kHeadroom;
     data_len_ = len;
     meta_ = Metadata{};
-    nil_ = false;
     inject_time_ = 0;
     lat_ = LatencyStamps{};
     flow_ = FlowRef{};
@@ -139,9 +138,6 @@ class Packet {
   Metadata& meta() noexcept { return meta_; }
   const Metadata& meta() const noexcept { return meta_; }
 
-  bool is_nil() const noexcept { return nil_; }
-  void set_nil(bool v) noexcept { nil_ = v; }
-
   SimTime inject_time() const noexcept { return inject_time_; }
   void set_inject_time(SimTime t) noexcept { inject_time_ = t; }
 
@@ -171,7 +167,6 @@ class Packet {
   SimTime inject_time_ = 0;
   LatencyStamps lat_{};
   FlowRef flow_{};
-  bool nil_ = false;
   // Atomic so parallel NFs sharing one packet version can add_ref/release
   // without a pool lock (paper §5.2 reference-counted zero-copy delivery).
   std::atomic<u32> refcnt_{0};

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/json.hpp"
-#include "telemetry/exporters.hpp"
 
 namespace nfp::telemetry {
 
@@ -482,31 +481,6 @@ std::string FlowReport::to_text() const {
                   e.stage.c_str(), drop_reason_name(e.reason));
     out << line;
   }
-  return out.str();
-}
-
-std::string FlowReport::to_prometheus() const {
-  std::ostringstream out;
-  out << "# TYPE nfp_flow_drops_total counter\n";
-  for (const Shard& sh : shards) {
-    for (std::size_t r = 0; r < kDropReasonCount; ++r) {
-      out << "nfp_flow_drops_total{reason=\"" << kReasonNames[r]
-          << "\",shard=\"" << prom_escape_label(sh.name) << "\"} "
-          << sh.d.drops[r] << "\n";
-    }
-  }
-  out << "# TYPE nfp_flow_packets_total counter\n";
-  for (const Shard& sh : shards) {
-    out << "nfp_flow_packets_total{shard=\"" << prom_escape_label(sh.name)
-        << "\"} " << sh.d.packets << "\n";
-  }
-  out << "# TYPE nfp_flow_bytes_total counter\n";
-  for (const Shard& sh : shards) {
-    out << "nfp_flow_bytes_total{shard=\"" << prom_escape_label(sh.name)
-        << "\"} " << sh.d.bytes << "\n";
-  }
-  out << "# TYPE nfp_flows_active gauge\nnfp_flows_active "
-      << fmt_double(flows_active()) << "\n";
   return out.str();
 }
 

@@ -38,7 +38,7 @@
 // locking, and scrape threads touch the same mutex only at report time.
 // Drop counters are relaxed atomics (drops are the cold path). The
 // director's flow hash is reused for every key, so accounting
-// adds no reparse; bench_hotpath_throughput's flow32-acct/noacct pair
+// adds no reparse; bench_shard_scaling's sharded/flow32-acct/noacct pair
 // gates the enabled cost at 5%.
 //
 // Surfaces: /flows.json, flows_active / flow_new_rate / hh_top1_share /
@@ -349,10 +349,6 @@ struct FlowReport {
   // Terminal rendering: top-K table, churn line, drop-reason table,
   // per-graph accounting.
   std::string to_text() const;
-  // Native exposition for the flow counters (the probe-derived gauges
-  // cover the rest): nfp_flow_drops_total{reason=...,shard=...} counters
-  // plus nfp_flow_packets_total / nfp_flow_bytes_total per shard.
-  std::string to_prometheus() const;
 };
 
 }  // namespace nfp::telemetry

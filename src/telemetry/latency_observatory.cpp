@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/json.hpp"
-#include "telemetry/exporters.hpp"
 
 namespace nfp::telemetry {
 
@@ -218,50 +217,6 @@ std::string LatencyReport::to_text() const {
                     static_cast<unsigned long long>(t.count()),
                     sh.d.queue_depth);
       out << line;
-    }
-  }
-  return out.str();
-}
-
-std::string LatencyReport::to_prometheus() const {
-  // Native Prometheus histogram exposition over coarse power-of-two
-  // boundaries (full 640-bucket fidelity would explode scrape size; the
-  // per-power cut keeps <= ~40 le-buckets per series with the same
-  // bounded relative error story). `le` is treated as an exclusive upper
-  // bound internally; only values exactly equal to a boundary land one
-  // bucket higher than a strict <= would place them.
-  std::ostringstream out;
-  out << "# TYPE nfp_latency_ns histogram\n";
-  for (const Shard& sh : shards) {
-    for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
-      const HdrSnapshot& h = sh.d.stages[i];
-      const std::string labels = std::string("{stage=\"") + kStageNames[i] +
-                                 "\",shard=\"" + prom_escape_label(sh.name) +
-                                 "\"";
-      u64 cumulative = 0;
-      std::size_t bucket = 0;
-      // One le-boundary per power of two: buckets [k*16, (k+1)*16) share
-      // the same exponent, so fold each run of 16 into one boundary.
-      for (std::size_t exp_end = kLatSubBuckets; bucket < kLatBuckets;
-           exp_end += kLatSubBuckets) {
-        const std::size_t end = std::min(exp_end, kLatBuckets);
-        u64 run = 0;
-        for (; bucket < end; ++bucket) run += h.counts[bucket];
-        cumulative += run;
-        if (cumulative == 0) continue;  // skip the empty low tail
-        if (end < kLatBuckets) {
-          out << "nfp_latency_ns_bucket" << labels << ",le=\""
-              << latency_bucket_value(end) << "\"} " << cumulative << "\n";
-        }
-        if (cumulative == h.total) break;  // tail is flat from here
-      }
-      // The +Inf bucket is mandatory in the exposition format, even for
-      // empty series and even when a finite boundary already covers the
-      // whole population.
-      out << "nfp_latency_ns_bucket" << labels << ",le=\"+Inf\"} "
-          << h.total << "\n";
-      out << "nfp_latency_ns_sum" << labels << "} " << h.sum << "\n";
-      out << "nfp_latency_ns_count" << labels << "} " << h.total << "\n";
     }
   }
   return out.str();

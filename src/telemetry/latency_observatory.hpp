@@ -41,8 +41,8 @@
 // per-shard queue-depth probes (SpscRing::size() sampled at scrape), the
 // `nfp_cli top` latency panel and the `nfp_cli latency` seq-vs-parallel
 // comparison. Overhead when off: one branch per packet per hop (the
-// origin-stamp zero check); bench_hotpath_throughput's lat32-acct /
-// lat32-noacct pair gates the enabled cost at 5%.
+// origin-stamp zero check); bench_shard_scaling's lat32-acct /
+// lat32-noacct pairs gate the enabled cost at 5%.
 #pragma once
 
 #include <array>
@@ -183,9 +183,6 @@ struct LatencyReport {
   std::string to_json() const;
   // Fixed-width stage table for terminals (p50/p90/p99/p99.9/max/mean).
   std::string to_text() const;
-  // Native Prometheus histogram exposition for the stage histograms:
-  // nfp_latency_ns_bucket{stage=...,shard=...,le=...} + _sum + _count.
-  std::string to_prometheus() const;
 };
 
 }  // namespace nfp::telemetry

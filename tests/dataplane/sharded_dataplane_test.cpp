@@ -505,7 +505,6 @@ TEST(ShardedDataplane, SmallestPoolRunsLossless) {
     opts.pipeline.exec_mode = mode;
     opts.ingest_pool_size = 1;
     opts.ingest_ring_depth = 4;
-    opts.ingest_burst = 1;
     ShardedDataplane dp({header_copy_graph()}, {}, opts);
     ASSERT_TRUE(dp.start().is_ok());
     for (std::size_t w = 1; w <= kWaves; ++w) {

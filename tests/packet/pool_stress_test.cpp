@@ -56,7 +56,6 @@ TEST(PoolStress, AddRefTracking) {
   Packet* b = pool.alloc(32);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->ref_count(), 1u);
-  EXPECT_FALSE(b->is_nil());
   EXPECT_EQ(b->meta().raw(), 0u);
   pool.release(b);
 }

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "ring/mpmc_queue.hpp"
 #include "ring/spsc_ring.hpp"
 
 namespace nfp {
@@ -352,75 +351,6 @@ TEST(SpscRing, WideValuesArriveWholeUnderConcurrentScrape) {
   EXPECT_EQ(bad, 0u) << "torn, early or reordered values";
   EXPECT_FALSE(oversize.load()) << "size() exceeded capacity";
   EXPECT_EQ(ring.size(), 0u);
-}
-
-TEST(MpmcQueue, BasicPushPop) {
-  MpmcQueue<int> q(4);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.try_pop().value(), 1);
-  EXPECT_EQ(q.try_pop().value(), 2);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(MpmcQueue, RespectsCapacity) {
-  MpmcQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-}
-
-TEST(MpmcQueue, SizeHintTracksOccupancyWithoutLocking) {
-  MpmcQueue<int> q(8);
-  EXPECT_EQ(q.capacity(), 8u);
-  EXPECT_EQ(q.size_hint(), 0u);
-  q.try_push(1);
-  q.try_push(2);
-  q.try_push(3);
-  EXPECT_EQ(q.size_hint(), 3u);
-  (void)q.try_pop();
-  EXPECT_EQ(q.size_hint(), 2u);
-  (void)q.pop_wait();
-  (void)q.try_pop();
-  EXPECT_EQ(q.size_hint(), 0u);
-}
-
-TEST(MpmcQueue, MultiProducerMultiConsumer) {
-  constexpr int kPerProducer = 10'000;
-  constexpr int kProducers = 2;
-  MpmcQueue<int> q(1024);
-  std::atomic<long long> sum{0};
-  std::atomic<int> consumed{0};
-
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 2; ++c) {
-    consumers.emplace_back([&] {
-      while (consumed.load() < kPerProducer * kProducers) {
-        if (auto v = q.try_pop()) {
-          sum += *v;
-          consumed++;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 1; i <= kPerProducer; ++i) {
-        while (!q.try_push(i)) std::this_thread::yield();
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  for (auto& t : consumers) t.join();
-
-  const long long expect =
-      static_cast<long long>(kProducers) * kPerProducer * (kPerProducer + 1) / 2;
-  EXPECT_EQ(sum.load(), expect);
 }
 
 }  // namespace

@@ -84,17 +84,71 @@ void BM_LpmLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_LpmLookup);
 
+// The firewall's ACL at 100 and 1,000 synthetic rules: the compiled
+// bit-vector lookup, and as its baseline a first-match scan over the same
+// rules (`BM_NaiveScan100Sigs` keeps the naive DPI scan the same way). Both
+// see the same run-time tuple stream.
+FiveTuple acl_bench_tuple(u32 x) {
+  return {x, x * 3, static_cast<u16>(x), static_cast<u16>(x * 7), 6};
+}
+
 void BM_AclEvaluate(benchmark::State& state) {
-  const AclTable table = AclTable::with_synthetic_rules(100);
+  const AclTable table =
+      AclTable::with_synthetic_rules(static_cast<std::size_t>(state.range(0)));
   u32 x = 1;
   for (auto _ : state) {
-    const FiveTuple t{x, x * 3, static_cast<u16>(x), static_cast<u16>(x * 7),
-                      6};
-    benchmark::DoNotOptimize(table.evaluate(t));
+    benchmark::DoNotOptimize(table.evaluate(acl_bench_tuple(x)));
     x = x * 2654435761u + 1;
   }
 }
-BENCHMARK(BM_AclEvaluate);
+BENCHMARK(BM_AclEvaluate)->Arg(100)->Arg(1000);
+
+void BM_AclLinearScan(benchmark::State& state) {
+  const AclTable table =
+      AclTable::with_synthetic_rules(static_cast<std::size_t>(state.range(0)));
+  u32 x = 1;
+  for (auto _ : state) {
+    const FiveTuple t = acl_bench_tuple(x);
+    AclAction action = AclAction::kPass;  // the synthetic table's default
+    for (const AclRule& rule : table.rules()) {
+      if (rule.matches(t)) {
+        action = rule.action;
+        break;
+      }
+    }
+    benchmark::DoNotOptimize(action);
+    x = x * 2654435761u + 1;
+  }
+}
+BENCHMARK(BM_AclLinearScan)->Arg(100)->Arg(1000);
+
+// Compiling the same rules from a vector, with the index's size; and
+// building the 100-rule table by add(), one rebuild per rule.
+void BM_AclBuild(benchmark::State& state) {
+  const std::vector<AclRule> rules =
+      AclTable::with_synthetic_rules(static_cast<std::size_t>(state.range(0)))
+          .rules();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const AclTable table(rules, AclAction::kPass);
+    bytes = table.index_bytes();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.counters["index_kb"] = static_cast<double>(bytes) / 1024;
+}
+BENCHMARK(BM_AclBuild)->Arg(100)->Arg(1000);
+
+void BM_AclAddEach(benchmark::State& state) {
+  const std::vector<AclRule> rules =
+      AclTable::with_synthetic_rules(static_cast<std::size_t>(state.range(0)))
+          .rules();
+  for (auto _ : state) {
+    AclTable table;
+    for (const AclRule& rule : rules) table.add(rule);
+    benchmark::DoNotOptimize(table.size());
+  }
+}
+BENCHMARK(BM_AclAddEach)->Arg(100);
 
 void BM_AesEncryptBlock(benchmark::State& state) {
   Aes128 aes(Aes128::Key{0x2b});

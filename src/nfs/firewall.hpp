@@ -1,5 +1,8 @@
 // Firewall NF: first-match ACL filter (paper §6.1: "similar to the Click
 // IPFilter element ... Access Control List (ACL) containing 100 rules").
+// Its AclTable is a bit-vector classifier (acl/acl.hpp): four binary
+// searches and an AND of five ⌈N/64⌉-word bitmaps per packet instead of a
+// scan of the rules, in an index of at most ~20 KB at 100 rules (N² growth).
 #pragma once
 
 #include "acl/acl.hpp"

@@ -204,11 +204,10 @@ std::vector<DropExemplar> DropExemplarRing::snapshot() const {
 // Shard accountant.
 
 ShardFlowAccountant::ShardFlowAccountant(std::size_t topk_capacity,
-                                         std::size_t graph_count,
-                                         std::size_t exemplar_capacity)
+                                         std::size_t graph_count)
     : topk_(topk_capacity),
       graphs_(std::max<std::size_t>(1, graph_count)),
-      exemplars_(exemplar_capacity) {}
+      exemplars_(kExemplarCapacity) {}
 
 void ShardFlowAccountant::record_burst(std::span<const FlowSample> samples) {
   if (samples.empty()) return;

@@ -279,8 +279,8 @@ ShardFlowSnapshot flow_delta(ShardFlowSnapshot now,
 // any thread that drops a packet (record_drop, atomics + exemplar ring).
 class ShardFlowAccountant {
  public:
-  ShardFlowAccountant(std::size_t topk_capacity, std::size_t graph_count,
-                      std::size_t exemplar_capacity = 64);
+  static constexpr std::size_t kExemplarCapacity = 64;  // latest drops kept
+  ShardFlowAccountant(std::size_t topk_capacity, std::size_t graph_count);
 
   // Folds one burst's deduped samples into the sketches. Worker thread.
   void record_burst(std::span<const FlowSample> samples);

@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the real data-structure hot paths
 // backing the simulated dataplane: rings, pool, header/full copies, LPM,
-// ACL, AES, checksums, merging and policy compilation. These measure the
-// actual C++ implementations on this host (not simulated time).
+// ACL, live egress collection, AES, checksums, merging and policy
+// compilation. These measure the actual C++ implementations on this host
+// (not simulated time).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -17,6 +18,7 @@
 #include "orch/compiler.hpp"
 #include "packet/builder.hpp"
 #include "packet/checksum.hpp"
+#include "packet/frame_list.hpp"
 #include "packet/packet_pool.hpp"
 #include "common/rng.hpp"
 #include "policy/parser.hpp"
@@ -149,6 +151,40 @@ void BM_AclAddEach(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AclAddEach)->Arg(100);
+
+// Live egress at 64 and 724 B: 4,096 delivered frames collected into a
+// FrameList (one memcpy and one end offset each, one block per 256 KiB),
+// then dropped; and as its baseline the representation LiveResult::outputs
+// had before, one heap std::vector<u8> per frame.
+constexpr std::size_t kEgressFrames = 4096;
+
+void BM_EgressCollect(benchmark::State& state) {
+  const std::vector<u8> frame(static_cast<std::size_t>(state.range(0)), 0x5c);
+  for (auto _ : state) {
+    FrameList outputs;
+    for (std::size_t i = 0; i < kEgressFrames; ++i) outputs.push(frame);
+    benchmark::DoNotOptimize(outputs);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(kEgressFrames));
+}
+BENCHMARK(BM_EgressCollect)->Arg(64)->Arg(724);
+
+void BM_EgressPerFrameVectors(benchmark::State& state) {
+  const std::vector<u8> frame(static_cast<std::size_t>(state.range(0)), 0x5c);
+  for (auto _ : state) {
+    std::vector<std::vector<u8>> outputs;
+    for (std::size_t i = 0; i < kEgressFrames; ++i) {
+      outputs.emplace_back(frame.data(), frame.data() + frame.size());
+    }
+    benchmark::DoNotOptimize(outputs);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(kEgressFrames));
+}
+BENCHMARK(BM_EgressPerFrameVectors)->Arg(64)->Arg(724);
 
 void BM_AesEncryptBlock(benchmark::State& state) {
   Aes128 aes(Aes128::Key{0x2b});

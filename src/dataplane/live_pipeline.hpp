@@ -20,8 +20,9 @@
 //     packet,
 //   * a sharded, allocation-free merge table — one open-addressing
 //     MergeTable per parallel segment with fixed-capacity arrival rows,
-//   * batched result delivery — completed outputs and drops are buffered
-//     thread-locally and the result lock is taken once per burst.
+//   * block egress — the one delivering thread copies each completed
+//     frame into a FrameList block; drops are counted per burst under the
+//     result lock.
 // bench_shard_scaling's `<shape>/burst{32,64}` series measure it.
 #pragma once
 
@@ -39,6 +40,7 @@
 #include "dataplane/fanout_plan.hpp"
 #include "graph/service_graph.hpp"
 #include "nfs/nf.hpp"
+#include "packet/frame_list.hpp"
 #include "packet/packet_magazine.hpp"
 #include "packet/packet_pool.hpp"
 #include "telemetry/flow_observatory.hpp"
@@ -73,8 +75,9 @@ const char* exec_mode_name(ExecMode mode) noexcept;
 std::optional<ExecMode> parse_exec_mode(std::string_view name) noexcept;
 
 struct LiveResult {
-  // Delivered packets in merger-completion order, as raw frames.
-  std::vector<std::vector<u8>> outputs;
+  // Delivered packets in merger-completion order, as raw frames packed
+  // into blocks (frame_list.hpp): no per-frame heap allocation.
+  FrameList outputs;
   u64 dropped = 0;
   // Error status for misuse (run()/start() on an already-used pipeline);
   // ok on every normal completion.

@@ -13,6 +13,7 @@
 #include "ring/backoff.hpp"
 #include "ring/spsc_ring.hpp"
 #include "telemetry/health_sampler.hpp"
+#include "telemetry/owned_counter.hpp"
 
 namespace nfp {
 
@@ -75,10 +76,9 @@ class LivePipeline::PipelinedExecutor final : public LivePipeline::Executor {
   // the caller's accountant as ring_wait (null to skip).
   bool enter_segment(std::size_t seg_idx, Packet* pkt, PacketMagazine& mag,
                      telemetry::CycleAccountant* acct);
-  // Flushes a thread-local result batch under one result_mu_ acquisition
-  // and retires the completed packets from the in-flight window.
-  void commit_batch(std::vector<std::vector<u8>>& outputs, u64 drops,
-                    u64 completed);
+  // Counts a burst's drops under one result_mu_ acquisition, then retires
+  // its completed packets from the in-flight window.
+  void commit_batch(u64 drops, u64 completed);
   void join_all();
   // Spins until ready(), crediting the wait (and its backoff pauses) to
   // the feeder's `bucket`; timed only when accounting is on.
@@ -101,6 +101,11 @@ class LivePipeline::PipelinedExecutor final : public LivePipeline::Executor {
 
   std::atomic<bool> stop_{false};
   std::atomic<u64> in_flight_{0};
+  // Exactly one thread delivers: the merger when the last segment is
+  // parallel, else that segment's only NF thread. It alone writes
+  // result_.outputs and delivered_ (finish() reads the list after the
+  // join); result_.dropped, written by every thread, is under result_mu_.
+  telemetry::OwnedCounter delivered_;
   std::mutex result_mu_;
   LiveResult result_;
   std::thread merger_thread_;
@@ -192,14 +197,11 @@ bool LivePipeline::PipelinedExecutor::enter_segment(
   return true;
 }
 
-void LivePipeline::PipelinedExecutor::commit_batch(
-    std::vector<std::vector<u8>>& outputs, u64 drops, u64 completed) {
-  if (!outputs.empty() || drops > 0) {
+void LivePipeline::PipelinedExecutor::commit_batch(u64 drops, u64 completed) {
+  if (drops > 0) {
     const std::scoped_lock lock(result_mu_);
-    for (auto& frame : outputs) result_.outputs.push_back(std::move(frame));
     result_.dropped += drops;
   }
-  outputs.clear();
   // After the results are visible: finish() treats in_flight_ == 0 as "all
   // packets accounted for", so the decrement must come last.
   if (completed > 0) {
@@ -222,7 +224,6 @@ void LivePipeline::PipelinedExecutor::nf_loop(std::size_t seg_idx,
   std::vector<Packet*> in_burst(burst);
   std::vector<MergeArrival> arrivals;
   arrivals.reserve(burst);
-  std::vector<std::vector<u8>> out_batch;
   Backoff idle;
 
   // Cycle accounting reuses the one clock read per iteration the heartbeat
@@ -309,7 +310,8 @@ void LivePipeline::PipelinedExecutor::nf_loop(std::size_t seg_idx,
         continue;
       }
       if (last_segment) {
-        out_batch.emplace_back(pkt->data(), pkt->data() + pkt->length());
+        result_.outputs.push(pkt->bytes());
+        delivered_.increment();
         finalize_latency(*pkt, self.lat_block.get());
         mag.release(pkt);
         ++completed;
@@ -323,7 +325,7 @@ void LivePipeline::PipelinedExecutor::nf_loop(std::size_t seg_idx,
         ++completed;
       }
     }
-    commit_batch(out_batch, drops, completed);
+    commit_batch(drops, completed);
     beat = telemetry::mono_now_ns();
     acct.lap(beat, telemetry::CycleBucket::kUseful);
   }
@@ -345,7 +347,6 @@ void LivePipeline::PipelinedExecutor::merger_loop() {
   }
 
   std::vector<MergeArrival> burst_buf(burst);
-  std::vector<std::vector<u8>> out_batch;
   Backoff idle_backoff;
 
   u64 beat = telemetry::mono_now_ns();
@@ -404,8 +405,8 @@ void LivePipeline::PipelinedExecutor::merger_loop() {
               ++drops;
               ++completed;
             } else if (s + 1 == segs.size()) {
-              out_batch.emplace_back(merged->data(),
-                                     merged->data() + merged->length());
+              result_.outputs.push(merged->bytes());
+              delivered_.increment();
               finalize_latency(*merged, merger_lat_block_.get());
               mag.release(merged);
               ++completed;
@@ -421,7 +422,7 @@ void LivePipeline::PipelinedExecutor::merger_loop() {
         }
       }
     }
-    commit_batch(out_batch, drops, completed);
+    commit_batch(drops, completed);
     if (idle) {
       if (stop_.load(std::memory_order_acquire)) return;
       idle_backoff.pause();
@@ -512,10 +513,7 @@ LiveResult LivePipeline::PipelinedExecutor::finish() {
   return std::move(result_);
 }
 
-u64 LivePipeline::PipelinedExecutor::delivered() {
-  const std::scoped_lock lock(result_mu_);
-  return result_.outputs.size();
-}
+u64 LivePipeline::PipelinedExecutor::delivered() { return delivered_.read(); }
 
 u64 LivePipeline::PipelinedExecutor::dropped() {
   const std::scoped_lock lock(result_mu_);

@@ -87,9 +87,9 @@ class LivePipeline::RtcExecutor final : public LivePipeline::Executor {
   telemetry::OwnedCounter dropped_;
 
   // Feeder-owned accumulation; delivered/dropped counters are the
-  // scrape-safe view, the vector itself is only touched by the feed thread
+  // scrape-safe view, the list itself is only touched by the feed thread
   // and by drain()'s caller (ordered by the sharded worker join).
-  std::vector<std::vector<u8>> outputs_;
+  FrameList outputs_;
 };
 
 std::unique_ptr<LivePipeline::Executor> LivePipeline::make_rtc_executor(
@@ -200,7 +200,7 @@ bool LivePipeline::RtcExecutor::run(Packet* pkt) {
 
   // Delivered. Same egress convention as the pipelined path: the last
   // mark is "now", so egress = total - accounted covers only clock quirks.
-  outputs_.emplace_back(pkt->data(), pkt->data() + pkt->length());
+  outputs_.push(pkt->bytes());
   finalize_latency(*pkt, lat_block_.get());
   mag().release(pkt);
   delivered_.increment();

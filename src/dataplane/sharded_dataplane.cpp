@@ -420,30 +420,20 @@ ShardedResult ShardedDataplane::drain() {
   for (Shard& sh : shards_) {
     if (sh.worker.joinable()) sh.worker.join();
   }
-  // Drain in shard order, then move every frame into one vector sized
-  // once: outputs come out shard-major and no byte is copied again.
-  std::vector<LiveResult> drained;  // [shard * G + graph]
-  std::size_t frames = 0;
-  for (Shard& sh : shards_) {
-    sh.director_mag->drain();
-    for (auto& pipeline : sh.pipelines) {
-      drained.push_back(pipeline->drain());
-      frames += drained.back().outputs.size();
-    }
-  }
-  res.outputs.reserve(frames);
-  auto next = drained.begin();
+  // Drain in (shard, graph) order and hand each pipeline's frame blocks
+  // over whole: outputs come out shard-major and no byte is copied again.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& sh = shards_[s];
+    sh.director_mag->drain();
     ShardCounts& counts = res.per_shard.emplace_back();
-    for (std::size_t g = 0; g < graphs_.size(); ++g, ++next) {
-      if (!next->status.is_ok() && res.status.is_ok()) {
-        res.status = next->status;
+    for (auto& pipeline : sh.pipelines) {
+      LiveResult drained = pipeline->drain();
+      if (!drained.status.is_ok() && res.status.is_ok()) {
+        res.status = drained.status;
       }
-      counts.delivered += next->outputs.size();
-      counts.dropped += next->dropped;
-      res.outputs.insert(res.outputs.end(),
-                         std::make_move_iterator(next->outputs.begin()),
-                         std::make_move_iterator(next->outputs.end()));
+      counts.delivered += drained.outputs.size();
+      counts.dropped += drained.dropped;
+      res.outputs.append(std::move(drained.outputs));
     }
     // Director-level drops (tail drops, CT drop rules, shutdown drains)
     // never reached a pipeline; fold them in so dropped covers every frame

@@ -28,8 +28,9 @@
 // classifies it and hands it to the verdict graph's pipeline
 // (LivePipeline::feed_packet), which runs it in place. Every pipeline of a
 // shard draws from the one shard pool, so a delivered frame's payload is
-// copied twice: in at the director, out into LiveResult::outputs at
-// delivery; drain() moves those frames.
+// copied twice: in at the director, out into a block of the pipeline's
+// LiveResult::outputs (a FrameList) at delivery; drain() hands those
+// blocks over whole, copying no frame and allocating nothing per frame.
 //
 // The constructor sizes each shard pool to at least everything that can
 // hold its slots at once — a full RX ring, the worker's burst, the
@@ -52,6 +53,7 @@
 #include "dataplane/live_pipeline.hpp"
 #include "graph/service_graph.hpp"
 #include "nfs/nf.hpp"
+#include "packet/frame_list.hpp"
 #include "packet/packet_magazine.hpp"
 #include "packet/packet_pool.hpp"
 #include "ring/spsc_ring.hpp"
@@ -101,8 +103,10 @@ struct ShardCounts {
 // Aggregate of one run. `outputs` concatenates shards in shard order (order
 // across shards is not meaningful — per-flow order within a shard is):
 // shard s's frames are the per_shard[s].delivered after those of shards < s.
+// It owns every pipeline's frame blocks, so its spans stay valid as long
+// as the result lives.
 struct ShardedResult {
-  std::vector<std::vector<u8>> outputs;
+  FrameList outputs;
   u64 dropped = 0;
   std::vector<ShardCounts> per_shard;
   Status status;

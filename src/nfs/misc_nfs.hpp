@@ -204,7 +204,7 @@ class DelayNf final : public NetworkFunction {
     // The busy loop is virtual: the simulator charges `cycles_` of service
     // time; a small real loop keeps the functional path honest.
     volatile u32 sink = 0;
-    for (u32 i = 0; i < cycles_ % 64; ++i) sink += i;
+    for (u32 i = 0; i < cycles_ % 64; ++i) sink = sink + i;
     return NfVerdict::kPass;
   }
 

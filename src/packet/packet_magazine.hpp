@@ -53,7 +53,10 @@ class PacketMagazine {
   }
 
   // A raw slot (refcount 0, stale metadata) for a caller that hands it to
-  // another thread to activate; nullptr when the pool is dry.
+  // another thread to activate; nullptr when the pool is dry. It also
+  // prefetches, for write, the first data line of the slot the next call
+  // returns: the sharded director copies a frame there, and that line was
+  // last written by the shard core that freed the slot.
   Packet* take_raw() noexcept {
     if (cache_.empty()) {
       if (capacity_ == 0) {
@@ -70,6 +73,7 @@ class PacketMagazine {
     }
     Packet* p = cache_.back();
     cache_.pop_back();
+    if (!cache_.empty()) __builtin_prefetch(cache_.back()->reset_data(), 1);
     return p;
   }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "../support/sorted_frames.hpp"
 #include "dataplane/live_pipeline.hpp"
 #include "dataplane/nfp_dataplane.hpp"
 #include "nfs/firewall.hpp"
@@ -94,9 +95,8 @@ TEST(LivePipeline, MatchesSimulatedDataplaneOutputs) {
 
   // The live pipeline may reorder across flows; compare as multisets.
   ASSERT_EQ(live.outputs.size(), sim_out.size());
-  std::sort(live.outputs.begin(), live.outputs.end());
   std::sort(sim_out.begin(), sim_out.end());
-  EXPECT_EQ(live.outputs, sim_out);
+  EXPECT_EQ(test_support::sorted_frames(live.outputs), sim_out);
 }
 
 // Hand-built 1 + 4 + 1 tree: a sequential monitor, then a 4-NF parallel

@@ -5,13 +5,13 @@
 // concurrent telemetry scrapes (the TSan workload).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
 
+#include "../support/sorted_frames.hpp"
 #include "dataplane/live_pipeline.hpp"
 #include "dataplane/sharded_dataplane.hpp"
 #include "graph/service_graph.hpp"
@@ -108,9 +108,8 @@ void check_mode_equivalence(
   }
   ASSERT_EQ(rtc_result.outputs.size(), piped_result.outputs.size());
   // The pipelined path may reorder across flows; compare as multisets.
-  std::sort(rtc_result.outputs.begin(), rtc_result.outputs.end());
-  std::sort(piped_result.outputs.begin(), piped_result.outputs.end());
-  EXPECT_EQ(rtc_result.outputs, piped_result.outputs);
+  EXPECT_EQ(test_support::sorted_frames(rtc_result.outputs),
+            test_support::sorted_frames(piped_result.outputs));
 
   for (LivePipeline* pipe : {&rtc, &piped}) {
     EXPECT_EQ(pipe->refcnt_underflows(), 0u)

@@ -14,6 +14,7 @@
 #include <set>
 #include <thread>
 
+#include "../support/sorted_frames.hpp"
 #include "common/cpu_affinity.hpp"
 #include "dataplane/live_pipeline.hpp"
 #include "dataplane/sharded_dataplane.hpp"
@@ -83,9 +84,8 @@ TEST(ShardedDataplane, EquivalentToSinglePipeline) {
   EXPECT_EQ(got.dropped, expected.dropped);
   ASSERT_EQ(got.outputs.size(), expected.outputs.size());
   // Sharding reorders across flows; the delivered multiset must not change.
-  std::sort(got.outputs.begin(), got.outputs.end());
-  std::sort(expected.outputs.begin(), expected.outputs.end());
-  EXPECT_EQ(got.outputs, expected.outputs);
+  EXPECT_EQ(test_support::sorted_frames(got.outputs),
+            test_support::sorted_frames(expected.outputs));
 }
 
 TEST(ShardedDataplane, AllPacketsOfAFlowExitOneShard) {
@@ -219,9 +219,7 @@ TEST(ShardedDataplane, MaskedRulesSteerModeInvariantlyThroughCache) {
     EXPECT_EQ(hits + misses, frames.size());
     EXPECT_GE(static_cast<double>(hits) / static_cast<double>(hits + misses),
               0.9);
-    std::vector<std::vector<u8>> outputs = std::move(res.outputs);
-    std::sort(outputs.begin(), outputs.end());
-    return outputs;
+    return test_support::sorted_frames(res.outputs);
   };
 
   const auto pipelined = run_mode(ExecMode::kPipelined);
@@ -273,9 +271,8 @@ TEST(ShardedDataplane, StreamingFeedMatchesBatchRun) {
 
   EXPECT_EQ(got.dropped, expected.dropped);
   ASSERT_EQ(got.outputs.size(), expected.outputs.size());
-  std::sort(got.outputs.begin(), got.outputs.end());
-  std::sort(expected.outputs.begin(), expected.outputs.end());
-  EXPECT_EQ(got.outputs, expected.outputs);
+  EXPECT_EQ(test_support::sorted_frames(got.outputs),
+            test_support::sorted_frames(expected.outputs));
 }
 
 TEST(ShardedDataplane, PipelineRunsExactlyOnce) {
@@ -586,11 +583,11 @@ void expect_oversize_refused(Plane& plane,
   }
 }
 
-std::multiset<std::vector<u8>> valid_frames(
-    const std::vector<std::vector<u8>>& frames, std::size_t oversize) {
-  std::multiset<std::vector<u8>> out(frames.begin(), frames.end());
-  out.erase(out.find(frames[oversize]));
-  return out;
+std::vector<std::vector<u8>> valid_frames(
+    std::vector<std::vector<u8>> frames, std::size_t oversize) {
+  frames.erase(frames.begin() + static_cast<std::ptrdiff_t>(oversize));
+  std::sort(frames.begin(), frames.end());
+  return frames;
 }
 
 TEST(ShardedDataplane, RefusesOversizeFrameAsMalformedDrop) {
@@ -613,8 +610,7 @@ TEST(ShardedDataplane, RefusesOversizeFrameAsMalformedDrop) {
     ASSERT_TRUE(res.status.is_ok());
     EXPECT_EQ(malformed, 1u);
     EXPECT_EQ(res.dropped, 1u);
-    EXPECT_EQ(std::multiset<std::vector<u8>>(res.outputs.begin(),
-                                             res.outputs.end()),
+    EXPECT_EQ(test_support::sorted_frames(res.outputs),
               valid_frames(frames, oversize));
   }
 }
@@ -633,8 +629,7 @@ TEST(LivePipeline, RefusesOversizeFrameAsMalformedDrop) {
     ASSERT_TRUE(res.status.is_ok());
     EXPECT_EQ(pipe.dropped_by(telemetry::DropReason::kMalformed), 1u);
     EXPECT_EQ(res.dropped, 1u);
-    EXPECT_EQ(std::multiset<std::vector<u8>>(res.outputs.begin(),
-                                             res.outputs.end()),
+    EXPECT_EQ(test_support::sorted_frames(res.outputs),
               valid_frames(frames, oversize));
   }
 }

@@ -17,12 +17,12 @@
 // design.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <tuple>
 
 #include "../support/plane_runs.hpp"
 #include "../support/random_policy.hpp"
+#include "../support/sorted_frames.hpp"
 #include "dataplane/live_classifier.hpp"
 #include "nfs/firewall.hpp"
 #include "orch/compiler.hpp"
@@ -87,7 +87,7 @@ per_flow(const PlaneRun& run) {
                                          t->dst_port, t->proto)
                        : std::make_tuple(u32{0}, u32{0}, u16{0}, u16{0},
                                          u8{0});
-    flows[key].push_back(frame);
+    flows[key].emplace_back(frame.begin(), frame.end());
   }
   return flows;
 }
@@ -95,10 +95,8 @@ per_flow(const PlaneRun& run) {
 void expect_same(const PlaneRun& ref, const PlaneRun& run, const char* plan) {
   EXPECT_EQ(ref.dropped, run.dropped) << plan << ": drop totals";
   ASSERT_EQ(ref.outputs.size(), run.outputs.size()) << plan;
-  auto ref_sorted = ref.outputs;
-  auto run_sorted = run.outputs;
-  std::sort(ref_sorted.begin(), ref_sorted.end());
-  std::sort(run_sorted.begin(), run_sorted.end());
+  const auto ref_sorted = test_support::sorted_frames(ref.outputs);
+  const auto run_sorted = test_support::sorted_frames(run.outputs);
   EXPECT_TRUE(ref_sorted == run_sorted) << plan << ": delivered multisets";
   EXPECT_TRUE(per_flow(ref) == per_flow(run)) << plan << ": per-flow order";
 }

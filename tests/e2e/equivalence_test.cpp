@@ -199,8 +199,9 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("monitor", "firewall", "lb", "vpn", "ids",
                           "gateway", "nat", "caching", "compression",
                           "shaper")),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_then_" + std::get<1>(info.param);
+    [](const auto& param_info) {
+      return std::get<0>(param_info.param) + "_then_" +
+             std::get<1>(param_info.param);
     });
 
 }  // namespace

@@ -14,11 +14,12 @@
 
 #include "dataplane/live_pipeline.hpp"
 #include "dataplane/nfp_dataplane.hpp"
+#include "packet/frame_list.hpp"
 
 namespace nfp::test_support {
 
 struct PlaneRun {
-  std::vector<std::vector<u8>> outputs;  // in delivery order
+  FrameList outputs;  // in delivery order
   u64 dropped = 0;
   std::array<u64, telemetry::kDropReasonCount> by_reason{};  // live only
 };
@@ -36,7 +37,7 @@ inline PlaneRun run_simulated(ServiceGraph graph,
   NfpDataplane dp(sim, std::move(graph), std::move(cfg));
   PlaneRun run;
   dp.set_sink([&](Packet* p, SimTime) {
-    run.outputs.emplace_back(p->data(), p->data() + p->length());
+    run.outputs.push(p->bytes());
     dp.pool().release(p);
   });
   for (std::size_t i = 0; i < frames.size(); ++i) {

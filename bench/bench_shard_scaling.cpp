@@ -1,48 +1,49 @@
-// The live bench: wall-clock packets/sec through the live planes on this
-// host (real threads, unlike the simulated figure benches).
+// The live bench: wall-clock packets/sec through the sharded live plane on
+// this host (real threads, unlike the simulated figure benches).
 //
-// pps series, two families:
-//   <shape>/burst{32,64}          a standalone pipelined LivePipeline (ring
-//                                 1024, in-flight window 512, magazine 256)
-//   <shape>/<mode>/shards{1,2,4}  the sharded plane (flow-consistent
-//                                 director, ingest rings, microflow cache,
-//                                 pinned shards), mode pipelined or rtc
-// Pipeline shapes: seq4 (monitor>lb>monitor>lb), par4 (4 parallel monitors:
-// 3 header copies and a 4-arrival merge per packet, the allocator-heavy
-// case) and tree (1 + 4-NF parallel stage over two versions + 1). Sharded
-// shapes: par4, seq4 (4 monitors: pure hand-off cost, where rtc's fused
-// calls shed the most) and chain (vpn>monitor>lb: per-packet AES, the
-// compute-bound §6.4 chain).
+// pps series `<shape>/rtc/shards{1,2,4}`: the sharded plane (flow-consistent
+// director, ingest rings, microflow cache, pinned shards, each running
+// every packet to completion) on par4 (4 parallel monitors: 3 header
+// copies and a 4-arrival merge per packet, the allocator-heavy case), seq4
+// (4 monitors: pure hop cost) and chain (vpn>monitor>lb: per-packet AES,
+// the compute-bound §6.4 chain).
 //
 // A single 8-60 ms run swings by tens of percent on a busy host, so every
 // series runs a discarded warm-up, then kReps timed runs, and its row
 // reports the median run with the quartiles pps_q1 / pps_q3 and reps;
-// scaling_vs_1shard divides medians.
+// scaling_vs_1shard divides medians. Every row also carries steal_share
+// and system_share: the shares of all CPUs' time that /proc/stat booked
+// as stolen by the hypervisor and as kernel time over its timed runs.
 //
-// Overhead pairs gate telemetry at 5%: `<shape>/burst32-acct|noacct`
-// (cycle accounting) and `<shape>/lat32-acct|noacct` (latency sampling 1
-// in 64) on each pipeline shape, and `sharded/flow32-acct|noacct` (flow
-// accounting on one shard, which isolates the worker's sketch fold). Run
-// position alone is worth ~1.5x on a small host, so each pair runs a
-// discarded warm-up, then kPairReps reps whose first side alternates, each
-// side's run printed as its own JSON line. scripts/check_hotpath_regression.py
-// gates the median paired overhead (--overhead) and compares every pps
-// series against bench/baselines/BENCH_shard_scaling.json.
+// Overhead pairs gate telemetry at 5%, each on a 1-shard plane, which
+// isolates the shard worker: `<shape>/burst32-acct|noacct` (cycle
+// accounting) and `<shape>/lat32-acct|noacct` (latency sampling 1 in 64
+// flows) on the pair shapes seq4 (monitor>lb>monitor>lb), par4 and tree
+// (1 + 4-NF parallel stage over two versions + 1), and
+// `sharded/flow32-acct|noacct` (flow accounting, the worker's sketch
+// fold). Run position alone is worth ~1.5x on a small host, so each pair
+// runs a discarded warm-up, then kPairReps reps whose first side
+// alternates, each side's run printed as its own JSON line.
+// scripts/check_hotpath_regression.py gates the median paired overhead
+// (--overhead) and compares every pps series against
+// bench/baselines/BENCH_shard_scaling.json.
 //
 // Flags: --json, --packets=N (default 20000), --flows=N (default 256),
 //        --skew=uniform|zipf (the sharded series' flow popularity).
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/cpu_affinity.hpp"
-#include "dataplane/live_pipeline.hpp"
 #include "dataplane/sharded_dataplane.hpp"
 #include "packet/builder.hpp"
 #include "telemetry/observatory.hpp"
@@ -70,8 +71,7 @@ __attribute__((format(printf, 1, 2))) std::string fmt(const char* format,
   return out;
 }
 
-// Frames of the pipeline series and the flow pair: 61 x 7 ports, five
-// sizes.
+// Frames of the overhead pairs: 61 x 7 ports, five sizes.
 Frames make_port_frames(std::size_t count) {
   PacketPool pool(2);
   Frames frames;
@@ -143,7 +143,7 @@ struct Shape {
 };
 
 // The two seq4 shapes are different graphs; each family keeps its own.
-constexpr Shape kPipelineShapes[] = {
+constexpr Shape kPairShapes[] = {
     {"seq4",
      [] {
        return ServiceGraph::sequential("seq4",
@@ -162,22 +162,62 @@ constexpr Shape kShardedShapes[] = {
        return ServiceGraph::sequential("chain", {"vpn", "monitor", "lb"});
      }}};
 
-// One timed run; `sharded` rows add what the sharded plane reports.
+// Jiffies of the aggregate "cpu" line of /proc/stat, as a delta between
+// two reads: user, nice, system, idle, iowait, irq, softirq, steal (guest
+// time is already inside user). All zero where /proc/stat is unreadable.
+struct CpuTimes {
+  static constexpr std::size_t kSystem = 2;
+  static constexpr std::size_t kSteal = 7;
+  std::array<u64, 8> jiffies{};
+
+  static CpuTimes now() {
+    CpuTimes t;
+    std::ifstream stat("/proc/stat");
+    std::string cpu;
+    stat >> cpu;
+    for (u64& j : t.jiffies) stat >> j;
+    if (!stat || cpu != "cpu") t.jiffies = {};
+    return t;
+  }
+  CpuTimes& operator+=(const CpuTimes& o) {
+    for (std::size_t i = 0; i < jiffies.size(); ++i) jiffies[i] += o.jiffies[i];
+    return *this;
+  }
+  CpuTimes since(const CpuTimes& start) const {
+    CpuTimes d;
+    for (std::size_t i = 0; i < jiffies.size(); ++i) {
+      d.jiffies[i] = jiffies[i] - start.jiffies[i];
+    }
+    return d;
+  }
+  double share(std::size_t field) const {
+    const u64 total = std::accumulate(jiffies.begin(), jiffies.end(), u64{0});
+    return total > 0 ? static_cast<double>(jiffies[field]) /
+                           static_cast<double>(total)
+                     : 0;
+  }
+};
+
+// One timed run; `sharded` adds what the sharded plane reports.
 struct Run {
   double pps = 0;
   double seconds = 0;
   u64 delivered = 0;
+  CpuTimes cpu;         // /proc/stat delta over the run
   std::string sharded;  // JSON fields, each with its leading comma
   std::string notes;    // the same, for the table
 };
 
-// Times plane.run(frames): construction is outside the window, thread
-// spawn and join inside it, as when every baseline was taken.
-template <class Plane>
-Run time_run(Plane& plane, const Frames& frames, const std::string& graph) {
+// Times dp.run(frames): construction is outside the window, thread spawn
+// and join inside it, as when every baseline was taken. The /proc/stat
+// reads sit just outside the window.
+Run time_run(ShardedDataplane& dp, const Frames& frames,
+             const std::string& graph) {
+  const CpuTimes cpu0 = CpuTimes::now();
   const auto t0 = std::chrono::steady_clock::now();
-  const auto result = plane.run(frames);
+  const ShardedResult result = dp.run(frames);
   const auto t1 = std::chrono::steady_clock::now();
+  const CpuTimes cpu1 = CpuTimes::now();
   if (!result.status.is_ok()) {
     std::fprintf(stderr, "BUG: %s: %s\n", graph.c_str(),
                  result.status.message().c_str());
@@ -186,17 +226,7 @@ Run time_run(Plane& plane, const Frames& frames, const std::string& graph) {
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   r.delivered = result.outputs.size() + result.dropped;
   r.pps = r.seconds > 0 ? static_cast<double>(r.delivered) / r.seconds : 0;
-  return r;
-}
-
-Run run_pipeline(const ServiceGraph& graph, const Frames& frames,
-                 const LivePipelineOptions& opts) {
-  LivePipeline pipe(graph, {}, opts);
-  const Run r = time_run(pipe, frames, graph.name());
-  if (pipe.refcnt_underflows() != 0) {
-    std::fprintf(stderr, "BUG: refcount underflows detected in %s\n",
-                 graph.name().c_str());
-  }
+  r.cpu = cpu1.since(cpu0);
   return r;
 }
 
@@ -208,6 +238,12 @@ Run run_sharded(const ServiceGraph& graph, const Frames& frames,
   telemetry::Observatory observatory;
   dp.register_observatory(observatory);
   Run r = time_run(dp, frames, graph.name());
+  for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+    if (dp.shard_pool(s).refcnt_underflow_total() != 0) {
+      std::fprintf(stderr, "BUG: refcount underflows detected in %s\n",
+                   graph.name().c_str());
+    }
+  }
   // The observatory's aggregate bucket shares: where sub-linear series
   // lost their pps.
   const telemetry::ScalabilityReport rep = observatory.report().scalability;
@@ -234,39 +270,49 @@ Run run_sharded(const ServiceGraph& graph, const Frames& frames,
 }
 
 // Prints one JSON row; `fields` follow pps, each with its leading comma.
+// `cpu` is the /proc/stat delta the row's shares come from.
 void emit_row(const std::string& series, const std::string& knobs,
-              const Run& r, const std::string& fields) {
+              const Run& r, const CpuTimes& cpu, const std::string& fields) {
   std::printf(
       "{\"bench\":\"shard_scaling\",\"series\":\"%s\",\"meta\":{\"bench\":"
       "\"shard_scaling\",\"timestamp\":\"%s\",\"knobs\":{%s}},\"pps\":%.1f%s,"
-      "\"packets\":%llu,\"seconds\":%.4f%s}\n",
+      "\"packets\":%llu,\"seconds\":%.4f,\"steal_share\":%.4f,"
+      "\"system_share\":%.4f%s}\n",
       series.c_str(), bench::iso8601_utc_now().c_str(), knobs.c_str(), r.pps,
       fields.c_str(), static_cast<unsigned long long>(r.delivered), r.seconds,
+      cpu.share(CpuTimes::kSteal), cpu.share(CpuTimes::kSystem),
       r.sharded.c_str());
 }
 
-// A pps series: the median of kReps timed runs after a discarded warm-up.
+// A pps series: the median of kReps timed runs after a discarded warm-up,
+// and the /proc/stat delta summed over the timed runs.
 struct Series {
   Run median;
   double q1 = 0;
   double q3 = 0;
+  CpuTimes cpu;
 };
 
 Series repeat(const std::function<Run()>& run_once) {
   run_once();  // warm-up, discarded
   std::vector<Run> runs;
-  for (int i = 0; i < kReps; ++i) runs.push_back(run_once());
+  CpuTimes cpu;
+  for (int i = 0; i < kReps; ++i) {
+    runs.push_back(run_once());
+    cpu += runs.back().cpu;
+  }
   std::sort(runs.begin(), runs.end(),
             [](const Run& a, const Run& b) { return a.pps < b.pps; });
-  return {runs[kReps / 2], runs[kReps / 4].pps, runs[3 * kReps / 4].pps};
+  return {runs[kReps / 2], runs[kReps / 4].pps, runs[3 * kReps / 4].pps, cpu};
 }
 
 void print_series(const std::string& name, const std::string& knobs,
                   const Series& s, const std::string& fields, bool json) {
-  std::printf("%-26s %12.0f %12.0f %12.0f  %s\n", name.c_str(), s.median.pps,
-              s.q1, s.q3, s.median.notes.c_str());
+  std::printf("%-26s %12.0f %12.0f %12.0f  %s, steal %.1f%%\n", name.c_str(),
+              s.median.pps, s.q1, s.q3, s.median.notes.c_str(),
+              100 * s.cpu.share(CpuTimes::kSteal));
   if (json) {
-    emit_row(name, knobs, s.median,
+    emit_row(name, knobs, s.median, s.cpu,
              fmt(",\"pps_q1\":%.1f,\"pps_q3\":%.1f,\"reps\":%d", s.q1, s.q3,
                  kReps) +
                  fields);
@@ -292,7 +338,7 @@ void overhead_pair(const Side& on, const Side& off, bool json) {
     r[first] = sides[first]->run();
     r[1 - first] = sides[1 - first]->run();
     for (int s = 0; json && s < 2; ++s) {
-      emit_row(sides[s]->series, sides[s]->knobs, r[s],
+      emit_row(sides[s]->series, sides[s]->knobs, r[s], r[s].cpu,
                fmt(",\"rep\":%d,\"reps\":%d", rep, kPairReps));
     }
     overhead.push_back(r[1].pps > 0 ? 1 - r[0].pps / r[1].pps : 0);
@@ -327,17 +373,9 @@ int main(int argc, char** argv) {
   const Frames port_frames = make_port_frames(packets);
   const Frames flow_frames = make_flow_frames(packets, flows, skew);
 
-  LivePipelineOptions base;
-  base.burst_size = 32;
-  base.magazine_size = 256;
-  base.ring_depth = 1024;
-  base.in_flight_window = 512;
-  const auto pipeline = [&](const ServiceGraph& graph,
-                            const LivePipelineOptions& opts) {
-    return [&graph, &port_frames, opts] {
-      return run_pipeline(graph, port_frames, opts);
-    };
-  };
+  // Every run: one plane, magazines of 256 slots.
+  ShardedDataplaneOptions base;
+  base.pipeline.magazine_size = 256;
   const auto sharded = [](const ServiceGraph& graph, const Frames& frames,
                           const ShardedDataplaneOptions& opts) {
     return [&graph, &frames, opts] {
@@ -345,86 +383,76 @@ int main(int argc, char** argv) {
     };
   };
 
-  bench::print_header("Live planes: wall-clock pps, median of repeated runs");
+  bench::print_header("Live plane: wall-clock pps, median of repeated runs");
   std::printf("online CPUs: %zu; %d timed runs per series, %d per pair side\n",
               online_cpu_count(), kReps, kPairReps);
   std::printf("%-26s %12s %12s %12s  %s\n", "series", "pps", "pps_q1",
               "pps_q3", "notes");
 
-  for (const Shape& shape : kPipelineShapes) {
+  // The overhead pairs run on one shard, which isolates the worker: the
+  // thread that books the cycle buckets, stamps the latency samples and
+  // folds the flow sketches.
+  ShardedDataplaneOptions one_shard = base;
+  one_shard.shards = 1;
+  for (const Shape& shape : kPairShapes) {
     const ServiceGraph graph = shape.make();
-    const auto knobs = [&](const char* mode, std::size_t burst) {
-      return fmt("\"shape\":\"%s\",\"mode\":\"%s\",\"burst\":%zu,"
+    const auto knobs = [&](const char* mode) {
+      return fmt("\"shape\":\"%s\",\"mode\":\"%s\",\"shards\":1,"
                  "\"magazine\":256,\"packets\":%zu",
-                 shape.name, mode, burst, packets);
+                 shape.name, mode, packets);
     };
-    for (const std::size_t burst : {32, 64}) {
-      LivePipelineOptions opts = base;
-      opts.burst_size = burst;
-      print_series(fmt("%s/burst%zu", shape.name, burst),
-                   knobs("batched", burst), repeat(pipeline(graph, opts)), "",
-                   json);
-    }
-    LivePipelineOptions acct_off = base;
-    acct_off.cycle_accounting = false;
+    ShardedDataplaneOptions acct_off = one_shard;
+    acct_off.pipeline.cycle_accounting = false;
     overhead_pair({fmt("%s/burst32-acct", shape.name),
-                   knobs("batched-acct", 32), pipeline(graph, base)},
+                   knobs("cycle-accounted"),
+                   sharded(graph, port_frames, one_shard)},
                   {fmt("%s/burst32-noacct", shape.name),
-                   knobs("batched-noacct", 32), pipeline(graph, acct_off)},
+                   knobs("cycle-accounting-off"),
+                   sharded(graph, port_frames, acct_off)},
                   json);
-    LivePipelineOptions lat_on = base;
-    lat_on.latency_sample_every = 64;
+    ShardedDataplaneOptions lat_on = one_shard;
+    lat_on.pipeline.latency_sample_every = 64;
     overhead_pair({fmt("%s/lat32-acct", shape.name),
-                   knobs("latency-sampled", 32) + ",\"lat_every\":64",
-                   pipeline(graph, lat_on)},
-                  {fmt("%s/lat32-noacct", shape.name),
-                   knobs("latency-off", 32), pipeline(graph, base)},
+                   knobs("latency-sampled") + ",\"lat_every\":64",
+                   sharded(graph, port_frames, lat_on)},
+                  {fmt("%s/lat32-noacct", shape.name), knobs("latency-off"),
+                   sharded(graph, port_frames, one_shard)},
                   json);
   }
 
-  // One shard isolates the worker, where the epoch-amortized sketch fold
-  // lives; the 61x7-port frame mix gives the sketches flow churn.
+  // The 61x7-port frame mix gives the sketches flow churn.
   const ServiceGraph flow_graph =
       ServiceGraph::sequential("flow", {"monitor", "lb"});
-  ShardedDataplaneOptions flow_on;
-  flow_on.shards = 1;
-  flow_on.pipeline = base;
-  ShardedDataplaneOptions flow_off = flow_on;
+  ShardedDataplaneOptions flow_off = one_shard;
   flow_off.flow_accounting = false;
   const auto flow_knobs = [&](const char* mode) {
     return fmt("\"shape\":\"sharded\",\"mode\":\"%s\",\"shards\":1,"
-               "\"burst\":32,\"magazine\":256,\"packets\":%zu",
+               "\"magazine\":256,\"packets\":%zu",
                mode, packets);
   };
   overhead_pair({"sharded/flow32-acct", flow_knobs("flow-accounted"),
-                 sharded(flow_graph, port_frames, flow_on)},
+                 sharded(flow_graph, port_frames, one_shard)},
                 {"sharded/flow32-noacct", flow_knobs("flow-off"),
                  sharded(flow_graph, port_frames, flow_off)},
                 json);
 
   for (const Shape& shape : kShardedShapes) {
     const ServiceGraph graph = shape.make();
-    for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
-      const char* mode_name = exec_mode_name(mode);
-      double base_pps = 0;  // 1-shard median pps of this (shape, mode)
-      for (const std::size_t shards : {1, 2, 4}) {
-        ShardedDataplaneOptions opts;
-        opts.shards = shards;
-        opts.pipeline = base;
-        opts.pipeline.exec_mode = mode;
-        Series s = repeat(sharded(graph, flow_frames, opts));
-        if (shards == 1) base_pps = s.median.pps;
-        const double scaling = base_pps > 0 ? s.median.pps / base_pps : 0;
-        s.median.notes += fmt(", scaling %.2fx", scaling);
-        print_series(
-            fmt("%s/%s/shards%zu", shape.name, mode_name, shards),
-            fmt("\"shape\":\"%s\",\"mode\":\"%s\",\"shards\":%zu,"
-                "\"flows\":%zu,\"skew\":\"%s\",\"packets\":%zu,"
-                "\"online_cpus\":%zu",
-                shape.name, mode_name, shards, flows, skew_name, packets,
-                online_cpu_count()),
-            s, fmt(",\"scaling_vs_1shard\":%.3f", scaling), json);
-      }
+    double base_pps = 0;  // 1-shard median pps of this shape
+    for (const std::size_t shards : {1, 2, 4}) {
+      ShardedDataplaneOptions opts = base;
+      opts.shards = shards;
+      Series s = repeat(sharded(graph, flow_frames, opts));
+      if (shards == 1) base_pps = s.median.pps;
+      const double scaling = base_pps > 0 ? s.median.pps / base_pps : 0;
+      s.median.notes += fmt(", scaling %.2fx", scaling);
+      print_series(
+          fmt("%s/rtc/shards%zu", shape.name, shards),
+          fmt("\"shape\":\"%s\",\"shards\":%zu,\"flows\":%zu,"
+              "\"skew\":\"%s\",\"packets\":%zu,\"online_cpus\":%zu",
+              shape.name, shards, flows, skew_name, packets,
+              online_cpu_count()),
+          s, fmt(",\"scaling_vs_1shard\":%.3f", scaling), json);
     }
   }
   return 0;

@@ -18,12 +18,15 @@
 //                                         every lost packet-per-second to
 //                                         a cycle bucket (useful/starved/
 //                                         ring/pool/merge/classifier-miss)
-//   nfp_cli latency [policy] [opts]       the paper's core experiment live:
-//                                         run the NFP-parallel graph and its
+//   nfp_cli latency [policy] [opts]       run the NFP-parallel graph and its
 //                                         flattened sequential chain on the
 //                                         sharded dataplane and print the
 //                                         stage-resolved latency-reduction
-//                                         table (p50/p99/p99.9 per stage)
+//                                         table (p50/p99/p99.9 per stage);
+//                                         each packet runs to completion on
+//                                         one core, so this measures NFP's
+//                                         fan-out and merge cost, not
+//                                         intra-packet parallelism
 //   nfp_cli flows [policy] [opts]         run a zipf elephant/mice workload
 //                                         and print the flow view's
 //                                         merged top-K heavy hitters, flow
@@ -130,8 +133,7 @@ int usage() {
                "[--flows=N]\n"
                "               [--skew=uniform|zipf] [--size=BYTES] "
                "[--serve=PORT]\n"
-               "               [--mode=pipelined|rtc|auto] "
-               "[--scenario=NAME] [--rules=N]\n"
+               "               [--scenario=NAME] [--rules=N]\n"
                "       nfp_cli profile <policy-file> [--plane=nfp|onv|rtc] "
                "[--packets=N]\n"
                "               [--rate=PPS] [--size=BYTES] [--trace-every=N] "
@@ -143,12 +145,10 @@ int usage() {
                "[--packets=N]\n"
                "               [--flows=N] [--skew=uniform|zipf] "
                "[--size=BYTES] [--json]\n"
-               "               [--mode=pipelined|rtc|auto]\n"
                "       nfp_cli latency [policy-file] [--shards=N] "
                "[--packets=N] [--flows=N]\n"
                "               [--skew=uniform|zipf] [--size=BYTES] "
                "[--sample-every=N] [--json]\n"
-               "               [--mode=pipelined|rtc|auto]\n"
                "       nfp_cli flows [policy-file] [--shards=N] "
                "[--packets=N] [--flows=N]\n"
                "               [--skew=uniform|zipf] [--top=K] [--pool=N] "
@@ -449,19 +449,6 @@ bool flag_string(const char* arg, const char* name, std::string* out) {
   return true;
 }
 
-// Parses and validates a `--mode=` value — execution-mode selection shared
-// by live/scalability/latency. auto resolves per graph at pipeline
-// construction (sequential -> rtc, parallel -> pipelined).
-bool resolve_mode_flag(const std::string& text, ExecMode* out) {
-  if (const auto m = parse_exec_mode(text)) {
-    *out = *m;
-    return true;
-  }
-  std::fprintf(stderr, "unknown mode '%s' (pipelined|rtc|auto)\n",
-               text.c_str());
-  return false;
-}
-
 // --- nfp_cli live: the sharded multi-core dataplane on real threads -----
 
 // One wave of frames with the requested flow count / skew / size, built
@@ -489,10 +476,10 @@ std::vector<std::vector<u8>> make_live_frames(u64 packets, u64 flows,
 void print_live_summary(ShardedDataplane& dp, const ShardedResult& res,
                         double seconds, u64 injected) {
   std::printf("live run: %llu frames, %zu shards (%zu online CPUs, "
-              "pinned=%s, mode=%s): delivered=%zu dropped=%llu",
+              "pinned=%s): delivered=%zu dropped=%llu",
               static_cast<unsigned long long>(injected), dp.shard_count(),
               online_cpu_count(), dp.affinity_applied() ? "yes" : "no",
-              exec_mode_name(dp.exec_mode()), res.outputs.size(),
+              res.outputs.size(),
               static_cast<unsigned long long>(res.dropped));
   if (seconds > 0) {
     std::printf(" %.0f pps", static_cast<double>(injected) / seconds);
@@ -559,7 +546,6 @@ int live_dataplane(const ServiceGraph& graph, int argc, char** argv) {
   u64 synth_rules = 0;
   bool lat_every_set = false;
   std::string skew = "uniform";
-  std::string mode = "auto";
   std::string scenario_name;
   for (int i = 3; i < argc; ++i) {
     const char* arg = argv[i];
@@ -572,8 +558,7 @@ int live_dataplane(const ServiceGraph& graph, int argc, char** argv) {
                flag_value(arg, "--serve", &serve_port) ||
                flag_value(arg, "--rules", &synth_rules) ||
                flag_string(arg, "--skew", &skew) ||
-               flag_string(arg, "--scenario", &scenario_name) ||
-               flag_string(arg, "--mode", &mode)) {
+               flag_string(arg, "--scenario", &scenario_name)) {
       // parsed into the matching variable
     } else {
       std::fprintf(stderr, "unknown live option '%s'\n", arg);
@@ -588,8 +573,6 @@ int live_dataplane(const ServiceGraph& graph, int argc, char** argv) {
     std::fprintf(stderr, "unknown skew '%s' (uniform|zipf)\n", skew.c_str());
     return usage();
   }
-  ExecMode exec_mode = ExecMode::kAuto;
-  if (!resolve_mode_flag(mode, &exec_mode)) return usage();
   if (packets == 0) packets = 1;
   if (flows == 0) flows = 1;
 
@@ -617,7 +600,6 @@ int live_dataplane(const ServiceGraph& graph, int argc, char** argv) {
   ShardedDataplaneOptions opts;
   opts.shards = static_cast<std::size_t>(shards);
   opts.pipeline.latency_sample_every = static_cast<std::size_t>(lat_every);
-  opts.pipeline.exec_mode = exec_mode;
   ShardedDataplane dp({graph}, pass_all_factory, opts);
 
   if (synth_rules > 0) {
@@ -690,12 +672,6 @@ int live_dataplane(const ServiceGraph& graph, int argc, char** argv) {
   sampler.set_watchdog(&watchdog);
   dp.register_health(sampler, &watchdog);
 
-  // The resolved execution mode as a labeled one-hot gauge: dashboards and
-  // `nfp_cli top` read exec_mode_active{mode="..."} == 1 off /metrics.json.
-  registry
-      .gauge("exec_mode_active", {{"mode", exec_mode_name(dp.exec_mode())},
-                                  {"plane", "sharded"}})
-      .set(1);
   telemetry::Counter& injected =
       registry.counter("packets_injected_total", {{"plane", "sharded"}});
   telemetry::Counter& dropped_total =
@@ -741,13 +717,12 @@ int live_dataplane(const ServiceGraph& graph, int argc, char** argv) {
   sources.observatory = &observatory;
   sources.mu = &mu;
   const auto banner = [&dp](unsigned bound) {
-    std::printf("live dataplane: %zu shards (%zu online CPUs, mode=%s) "
+    std::printf("live dataplane: %zu shards (%zu online CPUs) "
                 "serving on http://127.0.0.1:%u — /metrics "
                 "/timeseries.json /observatory.json /scalability.json "
                 "/latency.json /flows.json /healthz — `nfp_cli top "
                 "--port=%u` for the dashboard, Ctrl-C to stop\n",
-                dp.shard_count(), online_cpu_count(),
-                exec_mode_name(dp.exec_mode()), bound, bound);
+                dp.shard_count(), online_cpu_count(), bound, bound);
   };
   std::vector<u64> last_delivered(dp.shard_count(), 0);
   u64 last_dropped = 0;
@@ -973,9 +948,6 @@ struct TopView {
   double drops_per_s = 0;
   double merge_wait_share = 0;
   u64 ticks = 0;
-  // Active execution mode from /metrics.json's exec_mode_active gauge;
-  // empty when the server does not publish one.
-  std::string exec_mode;
   std::map<std::string, double> util;       // component -> core_util
   std::map<std::string, double> p99_ns;     // nf -> nf_service_ns:p99
   std::map<std::string, double> p999_ns;    // nf -> nf_service_ns:p999
@@ -1146,9 +1118,6 @@ void render_top(const TopView& view, const std::string& health_body,
   std::printf("nfp top — 127.0.0.1:%llu   tick %llu   ",
               static_cast<unsigned long long>(port),
               static_cast<unsigned long long>(view.ticks));
-  if (!view.exec_mode.empty()) {
-    std::printf("mode %s   ", view.exec_mode.c_str());
-  }
   if (health_status == 200) {
     std::printf("healthy\n");
   } else {
@@ -1307,26 +1276,6 @@ int top_command(int argc, char** argv) {
       return 1;
     }
     TopView view = parse_top_view(doc.value());
-    // Optional: the active execution mode, published as the one-hot gauge
-    // exec_mode_active{mode="..."} == 1 on /metrics.json.
-    if (auto met = telemetry::http_get(static_cast<std::uint16_t>(port),
-                                       "/metrics.json");
-        met && met.value().status == 200) {
-      if (const auto mdoc = json::Value::parse(met.value().body); mdoc) {
-        if (const json::Value* gauges = mdoc.value().find("gauges");
-            gauges != nullptr && gauges->is_array()) {
-          for (const json::Value& g : gauges->items()) {
-            if (g.string_or("name", "") == "exec_mode_active" &&
-                g.number_or("value", 0) == 1.0) {
-              if (const json::Value* labels = g.find("labels");
-                  labels != nullptr) {
-                view.exec_mode = std::string(labels->string_or("mode", ""));
-              }
-            }
-          }
-        }
-      }
-    }
     // Optional: the observatory's three views, from one report so the
     // panels agree. Servers without a sharded dataplane 404.
     if (auto obs = telemetry::http_get(static_cast<std::uint16_t>(port),
@@ -1379,8 +1328,7 @@ std::vector<std::size_t> parse_shard_list(const std::string& text) {
 // --- nfp_cli scalability | latency | flows: one observed live run -------
 
 // The flags scalability, latency and flows share. Each command sets its
-// own defaults before parsing; `mode` is parsed only by commands that
-// take --mode.
+// own defaults before parsing.
 struct LiveRunArgs {
   // Without a policy file: 4 parallel monitors with per-branch copies and
   // a 4-arrival merge — the shape whose 2-shard scaling loss motivated the
@@ -1391,8 +1339,6 @@ struct LiveRunArgs {
   u64 flows = 64;
   u64 frame_size = 256;
   std::string skew = "uniform";
-  std::string mode = "auto";
-  ExecMode exec_mode = ExecMode::kAuto;  // `mode`, resolved
   bool json = false;
 };
 
@@ -1430,25 +1376,17 @@ int parse_live_run_args(int argc, char** argv, const char* command,
                  args->skew.c_str());
     return usage();
   }
-  if (!resolve_mode_flag(args->mode, &args->exec_mode)) return usage();
   if (args->packets == 0) args->packets = 1;
   if (args->flows == 0) args->flows = 1;
   return 0;
 }
-
-// What one observed run hands back: the observatory's report and the
-// execution mode the plane resolved.
-struct ObservedRun {
-  telemetry::ObservatoryReport report;
-  ExecMode mode = ExecMode::kAuto;
-};
 
 // One observed live run of `graph`: build the plane, register the
 // observatory, start, reset its baseline, feed every frame, wait until
 // each is delivered or dropped, report, drain. The report comes before
 // drain() joins the workers, so its wall window matches the one the
 // threads accounted. Prints the error and returns nullopt on failure.
-std::optional<ObservedRun> run_observed(
+std::optional<telemetry::ObservatoryReport> run_observed(
     const ServiceGraph& graph, const ShardedDataplaneOptions& opts,
     const std::vector<std::vector<u8>>& frames, std::size_t top_k = 10) {
   ShardedDataplane dp({graph}, pass_all_factory, opts);
@@ -1473,13 +1411,13 @@ std::optional<ObservedRun> run_observed(
     if (done >= frames.size()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ObservedRun run{observatory.report(), dp.exec_mode()};
+  telemetry::ObservatoryReport report = observatory.report();
   const ShardedResult res = dp.drain();
   if (!res.status.is_ok()) {
     std::fprintf(stderr, "error: %s\n", res.status.message().c_str());
     return std::nullopt;
   }
-  return run;
+  return report;
 }
 
 // `nfp_cli scalability`: sweep shard counts and attribute every lost
@@ -1491,9 +1429,7 @@ int scalability_command(int argc, char** argv) {
   if (const int rc = parse_live_run_args(
           argc, argv, "scalability", &args,
           [&](const char* arg) {
-            if (!flag_string(arg, "--shards", &shard_list)) {
-              return flag_string(arg, "--mode", &args.mode);
-            }
+            if (!flag_string(arg, "--shards", &shard_list)) return false;
             shard_counts = parse_shard_list(shard_list);
             return true;
           });
@@ -1520,30 +1456,27 @@ int scalability_command(int argc, char** argv) {
   for (const std::size_t shards : shard_counts) {
     ShardedDataplaneOptions opts;
     opts.shards = shards;
-    opts.pipeline.exec_mode = args.exec_mode;
     const auto run = run_observed(graph, opts, frames);
     if (!run) return 1;
-    const telemetry::ScalabilityReport& report = run->report.scalability;
-    // The concrete mode (auto resolves per graph at construction).
-    const char* active_mode = exec_mode_name(run->mode);
+    const telemetry::ScalabilityReport& report = run->scalability;
 
     if (shards == shard_counts.front()) base_pps = report.total_pps;
     const double scaling =
         base_pps > 0 ? report.total_pps / base_pps : 0;
     if (args.json) {
       std::printf("{\"command\":\"scalability\",\"policy\":\"%s\","
-                  "\"mode\":\"%s\",\"shards\":%zu,\"packets\":%llu,"
+                  "\"shards\":%zu,\"packets\":%llu,"
                   "\"flows\":%llu,\"skew\":\"%s\",\"online_cpus\":%zu,"
                   "\"scaling_vs_first\":%.3f,\"report\":%s}\n",
-                  graph.name().c_str(), active_mode, shards,
+                  graph.name().c_str(), shards,
                   static_cast<unsigned long long>(args.packets),
                   static_cast<unsigned long long>(args.flows),
                   args.skew.c_str(), online_cpu_count(), scaling,
                   report.to_json().c_str());
     } else {
-      std::printf("\n=== shards=%zu mode=%s  (%.0f pps aggregate, %.2fx vs "
+      std::printf("\n=== shards=%zu  (%.0f pps aggregate, %.2fx vs "
                   "shards=%zu) ===\n%s",
-                  shards, active_mode, report.total_pps, scaling,
+                  shards, report.total_pps, scaling,
                   shard_counts.front(), report.to_text().c_str());
     }
     std::fflush(stdout);
@@ -1560,7 +1493,6 @@ int flows_command(int argc, char** argv) {
   args.packets = 50'000;
   args.flows = 256;
   args.skew = "zipf";
-  args.mode = "pipelined";  // flows takes no --mode
   u64 shards = 2;
   u64 top_k = 10;
   u64 pool = 0;
@@ -1580,7 +1512,6 @@ int flows_command(int argc, char** argv) {
 
   ShardedDataplaneOptions opts;
   opts.shards = static_cast<std::size_t>(shards);
-  opts.pipeline.exec_mode = args.exec_mode;
   if (pool != 0) {
     // Overload demo: a tiny RX path with tail drops instead of blocking.
     // The constructor raises the pool to cover the ring, burst, magazines
@@ -1593,7 +1524,7 @@ int flows_command(int argc, char** argv) {
   const auto run = run_observed(args.graph, opts, frames,
                                 static_cast<std::size_t>(top_k));
   if (!run) return 1;
-  const telemetry::FlowReport& report = run->report.flows;
+  const telemetry::FlowReport& report = run->flows;
 
   if (args.json) {
     std::printf("%s\n", report.to_json().c_str());
@@ -1609,7 +1540,11 @@ int flows_command(int argc, char** argv) {
   return 0;
 }
 
-// --- nfp_cli latency: the paper's core experiment, live -----------------
+// --- nfp_cli latency: the parallel graph against its chain, live --------
+//
+// The paper's experiment, on a plane that runs each packet to completion
+// on one core: a parallel segment's branches run one after another, so
+// the difference to the chain is the graph's fan-out and merge cost.
 
 // The graph's NFs flattened into one sequential chain — the ONV/RTC view
 // of the same policy — so the comparison isolates graph shape.
@@ -1625,8 +1560,7 @@ int latency_command(int argc, char** argv) {
           argc, argv, "latency", &args,
           [&](const char* arg) {
             return flag_value(arg, "--shards", &shards) ||
-                   flag_value(arg, "--sample-every", &sample_every) ||
-                   flag_string(arg, "--mode", &args.mode);
+                   flag_value(arg, "--sample-every", &sample_every);
           });
       rc != 0) {
     return rc;
@@ -1648,26 +1582,24 @@ int latency_command(int argc, char** argv) {
   if (!args.json) {
     std::printf("latency experiment: '%s' (%s) vs sequential chain (%s), "
                 "%llu packets/plane, %llu flows, %s skew, %zu shards, "
-                "mode=%s, sampling 1/%llu flows\n",
+                "sampling 1/%llu flows\n",
                 graph.name().c_str(), graph.structure().c_str(),
                 chain.structure().c_str(),
                 static_cast<unsigned long long>(args.packets),
                 static_cast<unsigned long long>(args.flows),
                 args.skew.c_str(), static_cast<std::size_t>(shards),
-                args.mode.c_str(),
                 static_cast<unsigned long long>(sample_every));
   }
 
   ShardedDataplaneOptions opts;
   opts.shards = static_cast<std::size_t>(shards);
   opts.pipeline.latency_sample_every = static_cast<std::size_t>(sample_every);
-  opts.pipeline.exec_mode = args.exec_mode;
   const auto seq_run = run_observed(chain, opts, frames);
   if (!seq_run) return 1;
   const auto par_run = run_observed(graph, opts, frames);
   if (!par_run) return 1;
-  const telemetry::LatencyReport& seq_rep = seq_run->report.latency;
-  const telemetry::LatencyReport& par_rep = par_run->report.latency;
+  const telemetry::LatencyReport& seq_rep = seq_run->latency;
+  const telemetry::LatencyReport& par_rep = par_run->latency;
 
   using telemetry::LatencyStage;
   const telemetry::HdrSnapshot& st = seq_rep.stage(LatencyStage::kTotal);
@@ -1686,14 +1618,13 @@ int latency_command(int argc, char** argv) {
   if (args.json) {
     std::printf("{\"command\":\"latency\",\"policy\":\"%s\","
                 "\"structure\":\"%s\",\"chain_structure\":\"%s\","
-                "\"mode\":\"%s\","
                 "\"shards\":%zu,\"packets\":%llu,\"flows\":%llu,"
                 "\"skew\":\"%s\",\"sample_every\":%llu,"
                 "\"sequential\":%s,\"parallel\":%s,"
                 "\"reduction_pct\":{\"p50\":%.1f,\"p99\":%.1f,"
                 "\"p999\":%.1f,\"mean\":%.1f}}\n",
                 graph.name().c_str(), graph.structure().c_str(),
-                chain.structure().c_str(), args.mode.c_str(),
+                chain.structure().c_str(),
                 static_cast<std::size_t>(shards),
                 static_cast<unsigned long long>(args.packets),
                 static_cast<unsigned long long>(args.flows), args.skew.c_str(),

@@ -9,11 +9,14 @@ Usage:
   check_hotpath_regression.py --overhead current.jsonl [--overhead-threshold 0.05]
 
 --bench selects which bench's rows to read: shard_scaling (the default),
-the live bench, whose pps series are `<shape>/burst<N>` (a standalone
-pipelined LivePipeline) and `<shape>/<mode>/shards<N>` (the sharded plane
-in mode pipelined or rtc, each with its own baseline), each row the median
-of repeated runs; or classifier_scale (series
+the live bench, whose pps series are `<shape>/rtc/shards<N>` (the sharded
+plane), each row the median of repeated runs; or classifier_scale (series
 `<hit|miss>/<tuple|linear>/rules<N>k`, pps = lookups per second).
+
+A failing series is printed with the steal and system shares of the CPUs'
+time over its runs, when its rows carry them (steal_share, system_share:
+/proc/stat deltas), so a failure on a host whose hypervisor took the time
+reads as such. The shares gate nothing.
 
 --overhead fails when, for any `<base>-acct` / `<base>-noacct` pair in one
 run, the median paired overhead 1 - acct/noacct exceeds
@@ -60,6 +63,16 @@ def load_series(paths, bench):
             for name, rows in load_series_lines(paths, bench).items()}
 
 
+def cpu_shares(rows):
+    """' (steal S%, system Y%)' over rows that carry the shares, else ''."""
+    rows = [row for row in rows if "steal_share" in row]
+    if not rows:
+        return ""
+    steal = sum(row["steal_share"] for row in rows) / len(rows)
+    system = sum(row.get("system_share", 0.0) for row in rows) / len(rows)
+    return f" (steal {steal:.1%}, system {system:.1%})"
+
+
 def report(failures, problem, summary):
     """Exit status 1 with the failures on stderr, else 0 with the summary."""
     if failures:
@@ -95,7 +108,8 @@ def check_overhead(path, bench, threshold):
             failures.append(
                 f"{acct_name}: accounting costs {overhead:.1%} pps "
                 f"(median of {len(per_rep)} paired reps, "
-                f"> {threshold:.0%})")
+                f"> {threshold:.0%})"
+                + cpu_shares(current[acct_name] + current[noacct_name]))
     return report(failures, "series exceed the accounting-overhead budget",
                   f"all {len(pairs)} acct/noacct pairs within "
                   f"{threshold:.0%} overhead")
@@ -153,7 +167,7 @@ def main():
         if ratio < args.threshold:
             failures.append(
                 f"{name}: {cur_pps:.0f} pps < {args.threshold:.0%} of "
-                f"baseline {base_pps:.0f} pps")
+                f"baseline {base_pps:.0f} pps" + cpu_shares([current[name]]))
 
     return report(failures, f"series regressed >{1 - args.threshold:.0%}",
                   f"all {len(baseline)} series within "

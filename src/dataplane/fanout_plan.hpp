@@ -1,6 +1,6 @@
 // Segment entry, the first half of the segment kernel (merge_ops.hpp has
 // the second): the fanout plan and the copies it makes. Shared by the
-// simulated NfpDataplane and both live executors (pipelined and rtc).
+// simulated NfpDataplane and the live pipeline.
 //
 // Entering a segment means distributing one upstream packet to the
 // segment's NFs: versions >= 2 with at least one consumer get a copy (full
@@ -66,9 +66,10 @@ using VersionPackets = std::array<Packet*, Metadata::kMaxVersion + 1>;
 // pool cuts short still bills the copies it made). With `consumer_refs`
 // every version then gets one extra reference per additional NF consuming
 // it, for planes whose branches release their versions independently
-// (simulated, pipelined); rtc runs the branches one after another and
-// takes none. On a dry pool the copies already made are released again
-// and false is returned; versions[1] stays with the caller either way.
+// (the simulated plane); the live pipeline runs the branches one after
+// another and takes none. On a dry pool the copies already made are
+// released again and false is returned; versions[1] stays with the caller
+// either way.
 template <typename Alloc, typename OnCopy>
 bool fan_out(const FanoutPlan& plan, VersionPackets& versions, Alloc& alloc,
              bool consumer_refs, OnCopy&& on_copy) {

@@ -132,6 +132,7 @@ class MicroflowCache {
     const std::size_t verdict = ct_.classify(flow);
     miss_ns_.add(telemetry::mono_now_ns() - t0);
     table_.get_or_create(flow) = verdict;
+    entries_.store(table_.size(), std::memory_order_relaxed);
     return verdict;
   }
 
@@ -141,6 +142,7 @@ class MicroflowCache {
     const u64 v = ct_.version();
     if (v != seen_version_) {
       table_.clear();
+      entries_.store(0, std::memory_order_relaxed);
       invalidations_.increment();
       seen_version_ = v;
     }
@@ -153,7 +155,12 @@ class MicroflowCache {
   u64 miss_ns() const noexcept { return miss_ns_.read(); }
   u64 invalidations() const noexcept { return invalidations_.read(); }
   u64 evictions() const noexcept { return table_.evictions(); }
-  std::size_t size() const noexcept { return table_.size(); }
+  // Cached flows, as the worker published them after its last insert or
+  // clear: safe from a sampler thread mid-run, unlike the table's own
+  // count.
+  std::size_t size() const noexcept {
+    return entries_.load(std::memory_order_relaxed);
+  }
   std::size_t capacity() const noexcept { return table_.capacity(); }
 
  private:
@@ -169,6 +176,7 @@ class MicroflowCache {
   telemetry::OwnedCounter misses_;
   telemetry::OwnedCounter miss_ns_;
   telemetry::OwnedCounter invalidations_;
+  alignas(kCacheLineSize) std::atomic<std::size_t> entries_{0};
 };
 
 // Parses the IPv4 5-tuple out of a raw Ethernet frame (the director needs

@@ -3,71 +3,23 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/cpu_affinity.hpp"
-#include "dataplane/live_executor.hpp"
 #include "telemetry/health_sampler.hpp"
 
 namespace nfp {
-
-namespace {
-
-// The options a pipeline over `graph` actually runs with: clamped knobs
-// and the concrete execution mode (what options() reports).
-LivePipelineOptions resolve_options(const ServiceGraph& graph,
-                                    LivePipelineOptions opts) {
-  opts.ring_depth = std::max<std::size_t>(4, opts.ring_depth);
-  opts.burst_size = std::clamp<std::size_t>(opts.burst_size, 1, opts.ring_depth);
-  // Bound the in-flight window well below the ring depth so a full ring
-  // can never wedge the merger thread against an NF thread (the merger
-  // re-enters segments and would otherwise spin on a ring an NF cannot
-  // drain because its own output ring is full). Each in-flight packet puts
-  // at most one entry on any single ring, so window <= depth/2 keeps every
-  // ring drainable.
-  if (opts.in_flight_window == 0) opts.in_flight_window = opts.ring_depth / 4;
-  opts.in_flight_window =
-      std::clamp<std::size_t>(opts.in_flight_window, 1, opts.ring_depth / 2);
-
-  // Resolve the execution mode: auto fuses sequential graphs (rings would
-  // only add hand-off cost between single-consumer hops) and keeps
-  // parallel graphs pipelined, where cross-thread execution is the paper's
-  // actual mechanism.
-  if (opts.exec_mode == ExecMode::kAuto) {
-    opts.exec_mode =
-        graph.is_sequential() ? ExecMode::kRtc : ExecMode::kPipelined;
-  }
-  return opts;
-}
-
-}  // namespace
-
-const char* exec_mode_name(ExecMode mode) noexcept {
-  switch (mode) {
-    case ExecMode::kPipelined: return "pipelined";
-    case ExecMode::kRtc: return "rtc";
-    case ExecMode::kAuto: return "auto";
-  }
-  return "pipelined";
-}
-
-std::optional<ExecMode> parse_exec_mode(std::string_view name) noexcept {
-  if (name == "pipelined") return ExecMode::kPipelined;
-  if (name == "rtc") return ExecMode::kRtc;
-  if (name == "auto") return ExecMode::kAuto;
-  return std::nullopt;
-}
 
 LivePipeline::LivePipeline(
     ServiceGraph graph,
     std::function<std::unique_ptr<NetworkFunction>(const StageNf&)> factory,
     LivePipelineOptions options, PacketPool* pool)
     : graph_(std::move(graph)),
-      opts_(resolve_options(graph_, options)),
+      opts_(options),
       own_pool_(pool != nullptr
                     ? nullptr
                     : std::make_unique<PacketPool>(
                           std::max<std::size_t>(1, options.pool_size))),
       pool_(pool != nullptr ? *pool : *own_pool_) {
   int instance = 0;
+  std::size_t widest = 0;
   for (Segment& seg : graph_.segments()) {
     std::vector<Nf> nfs;
     for (StageNf& meta : seg.nfs) {
@@ -79,53 +31,44 @@ LivePipeline::LivePipeline(
       if (nf.impl == nullptr) nf.impl = make_builtin_nf("monitor");
       nfs.push_back(std::move(nf));
     }
+    const StageNf& first = nfs.front().meta;
+    stage_.push_back("nf:" + first.name + "#" +
+                     std::to_string(first.instance_id));
+    widest = std::max(widest, nfs.size());
     nfs_.push_back(std::move(nfs));
     fanout_.push_back(build_fanout_plan(seg));
   }
-  exec_ = opts_.exec_mode == ExecMode::kRtc ? make_rtc_executor(*this)
-                                            : make_pipelined_executor(*this);
+  arrivals_.resize(widest);
+  if (opts_.latency_sample_every > 0) {
+    lat_block_ = std::make_unique<telemetry::StageLatencyBlock>();
+  }
 }
 
 LivePipeline::~LivePipeline() = default;
 
 std::size_t LivePipeline::pool_demand(const ServiceGraph& graph,
                                       const LivePipelineOptions& options) {
-  const LivePipelineOptions opts = resolve_options(graph, options);
-  std::size_t nfs = 0;
   std::size_t versions = 1;  // slots one packet holds: original + copies
   for (const Segment& seg : graph.segments()) {
-    nfs += seg.nfs.size();
     versions = std::max<std::size_t>(versions, seg.num_versions);
   }
-  // rtc: one magazine, one packet at a time on the caller's thread.
-  // pipelined: a magazine per thread (feeder, every NF, merger) and up to
-  // in_flight_window packets inside the graph.
-  const bool rtc = opts.exec_mode == ExecMode::kRtc;
-  const std::size_t magazines = rtc ? 1 : nfs + 2;
-  const std::size_t packets = rtc ? 1 : opts.in_flight_window;
-  return magazines * opts.magazine_size + packets * versions;
-}
-
-PacketMagazine LivePipeline::make_magazine() {
-  return PacketMagazine(pool_, opts_.magazine_size, &mag_refill_total_,
-                        &mag_flush_total_);
-}
-
-void LivePipeline::maybe_pin_current_thread() {
-  if (opts_.pin_core < 0) return;
-  affinity_attempts_.fetch_add(1, std::memory_order_relaxed);
-  if (pin_current_thread_to_core(static_cast<std::size_t>(opts_.pin_core))) {
-    affinity_ok_.fetch_add(1, std::memory_order_relaxed);
-  }
+  return options.magazine_size + versions;
 }
 
 void LivePipeline::note_drop(telemetry::DropReason reason, const char* stage,
                              const FlowRef* flow) {
   drop_reasons_[static_cast<std::size_t>(reason)].fetch_add(
       1, std::memory_order_relaxed);
+  dropped_.increment();
   if (drop_exemplars_ != nullptr) {
     drop_exemplars_->record(reason, stage, flow, telemetry::mono_now_ns());
   }
+}
+
+void LivePipeline::drop(Packet* pkt, telemetry::DropReason reason,
+                        const char* stage) {
+  note_drop(reason, stage, &pkt->flow());
+  mag_->release(pkt);
 }
 
 void LivePipeline::open_service(Packet& pkt) {
@@ -144,42 +87,20 @@ void LivePipeline::close_service(Packet& pkt) {
   lat.mark_ns = now;
 }
 
-NfVerdict LivePipeline::run_hop(NetworkFunction& nf, Packet& pkt) {
-  // queue = mark -> pre-process clock (includes in-burst head-of-line
-  // time), service = the process span.
-  open_service(pkt);
-  const NfVerdict verdict = process_packet(nf, pkt);
-  close_service(pkt);
-  return verdict;
-}
-
-void LivePipeline::finalize_latency(const Packet& pkt,
-                                    telemetry::StageLatencyBlock* block) {
+void LivePipeline::finalize_latency(const Packet& pkt) {
   const LatencyStamps& lat = pkt.lat();
-  if (lat.origin_ns == 0 || block == nullptr) return;
+  if (lat.origin_ns == 0 || lat_block_ == nullptr) return;
   const u64 total = sat_sub(lat.mark_ns, lat.origin_ns);
-  const u64 accounted =
-      lat.ingest_ns + lat.queue_ns + lat.service_ns + lat.merge_ns;
-  block->record(telemetry::LatencyStage::kIngest, lat.ingest_ns);
-  block->record(telemetry::LatencyStage::kQueue, lat.queue_ns);
-  block->record(telemetry::LatencyStage::kService, lat.service_ns);
-  // merge_wait only counts packets that actually crossed a cross-thread
-  // merge point: a sequential path or an rtc fused merge contributes no
-  // sample rather than a zero, so the stage's count doubles as "packets
-  // merged" in reports.
-  if (lat.merges != 0) {
-    block->record(telemetry::LatencyStage::kMergeWait, lat.merge_ns);
-  }
-  block->record(telemetry::LatencyStage::kEgress, sat_sub(total, accounted));
-  block->record(telemetry::LatencyStage::kTotal, total);
-}
-
-void LivePipeline::fold_latency(telemetry::ShardLatencySnapshot& snap,
-                                const telemetry::StageLatencyBlock* block) {
-  if (block == nullptr) return;
-  for (std::size_t s = 0; s < telemetry::kLatencyStageCount; ++s) {
-    snap.stages[s] += block->snapshot(static_cast<telemetry::LatencyStage>(s));
-  }
+  const u64 accounted = lat.ingest_ns + lat.queue_ns + lat.service_ns;
+  lat_block_->record(telemetry::LatencyStage::kIngest, lat.ingest_ns);
+  lat_block_->record(telemetry::LatencyStage::kQueue, lat.queue_ns);
+  lat_block_->record(telemetry::LatencyStage::kService, lat.service_ns);
+  // merge_wait records nothing: a fused merge has every arrival in hand,
+  // so there is no wait to measure, and an empty stage says so rather
+  // than a column of zeros.
+  lat_block_->record(telemetry::LatencyStage::kEgress,
+                     sat_sub(total, accounted));
+  lat_block_->record(telemetry::LatencyStage::kTotal, total);
 }
 
 NetworkFunction* LivePipeline::nf(std::size_t segment, std::size_t index) {
@@ -195,27 +116,15 @@ void LivePipeline::set_drop_exemplar_ring(telemetry::DropExemplarRing* ring) {
   drop_exemplars_ = ring;
 }
 
-// feed() counts its refusals of malformed frames itself; every other drop
-// is the executor's.
-u64 LivePipeline::dropped_so_far() {
-  return exec_->dropped() + dropped_by(telemetry::DropReason::kMalformed);
-}
-
-u64 LivePipeline::delivered_so_far() { return exec_->delivered(); }
-
-telemetry::ShardScalabilitySnapshot LivePipeline::scalability_snapshot() {
-  telemetry::ShardScalabilitySnapshot snap = exec_->scalability();
-  snap.delivered = delivered_so_far();
-  snap.dropped = dropped_so_far();
-  if (own_pool_ != nullptr) snap.pool_cas_retries = pool_.cas_retry_total();
+telemetry::ShardLatencySnapshot LivePipeline::latency_snapshot() const {
+  telemetry::ShardLatencySnapshot snap;
+  if (lat_block_ == nullptr) return snap;
+  for (std::size_t s = 0; s < telemetry::kLatencyStageCount; ++s) {
+    snap.stages[s] +=
+        lat_block_->snapshot(static_cast<telemetry::LatencyStage>(s));
+  }
   return snap;
 }
-
-telemetry::ShardLatencySnapshot LivePipeline::latency_snapshot() const {
-  return exec_->latency();
-}
-
-u64 LivePipeline::feeder_wait_ns() const { return exec_->feeder_wait_ns(); }
 
 void LivePipeline::register_health(telemetry::HealthSampler& sampler,
                                    telemetry::Watchdog* watchdog,
@@ -227,7 +136,6 @@ void LivePipeline::register_health(telemetry::HealthSampler& sampler,
   if (!shard.empty()) plane_labels.emplace_back("shard", shard);
   const std::string prefix = shard.empty() ? "" : "shard" + shard + "/";
 
-  exec_->register_workers(sampler, watchdog, plane_labels, prefix);
   // Allocator pressure: magazine↔pool batch traffic and refcount misuse.
   sampler.add_probe("pool_magazine_refill_total", plane_labels, [this] {
     return static_cast<double>(magazine_refills());
@@ -264,9 +172,8 @@ Status LivePipeline::start() {
         "LivePipeline::start(): pipeline already started — each LivePipeline "
         "runs exactly once; construct a fresh instance for another run");
   }
-  feeder_mag_ = std::make_unique<PacketMagazine>(
+  mag_ = std::make_unique<PacketMagazine>(
       pool_, opts_.magazine_size, &mag_refill_total_, &mag_flush_total_);
-  exec_->start();
   return Status::ok();
 }
 
@@ -279,19 +186,25 @@ bool LivePipeline::feed(std::span<const u8> frame) {
     note_drop(telemetry::DropReason::kMalformed, "feeder", nullptr);
     return false;
   }
+  Packet* pkt = mag_->alloc(frame.size());
+  if (pkt == nullptr) {
+    // A packet holds at most (1 + fanout copies) slots and this is the only
+    // allocating thread, so a dry pool is a sizing error, not transient
+    // backpressure — waiting would spin forever. Tail-drop instead.
+    note_drop(telemetry::DropReason::kPoolExhausted, "feeder", nullptr);
+    return false;
+  }
   // One clock read stamps the arrival (inject_time, which a shaper's token
   // bucket refills from) and, when sampled, the latency origin. Standalone
   // sampling: no flow hash at this layer, so sample by pid.
   const u64 now = telemetry::mono_now_ns();
   const bool sampled = opts_.latency_sample_every != 0 &&
                        next_pid_ % opts_.latency_sample_every == 0;
-  exec_->admit();
-  Packet* pkt = exec_->alloc(frame.size());
-  if (pkt == nullptr) return false;
   std::memcpy(pkt->data(), frame.data(), frame.size());
   pkt->set_inject_time(now);
   pkt->lat().origin_ns = sampled ? now : 0;
-  return enter(pkt);
+  enter(pkt);
+  return true;
 }
 
 bool LivePipeline::feed_packet(Packet* pkt) {
@@ -299,11 +212,11 @@ bool LivePipeline::feed_packet(Packet* pkt) {
     pool_.release(pkt);
     return false;
   }
-  exec_->admit();
-  return enter(pkt);
+  enter(pkt);
+  return true;
 }
 
-bool LivePipeline::enter(Packet* pkt) {
+void LivePipeline::enter(Packet* pkt) {
   pkt->meta().set_pid(next_pid_++ & Metadata::kMaxPid);
   LatencyStamps& lat = pkt->lat();
   // Sampling off means nowhere to land the sample — drop the stamp rather
@@ -311,13 +224,83 @@ bool LivePipeline::enter(Packet* pkt) {
   if (opts_.latency_sample_every == 0) lat.origin_ns = 0;
   if (lat.origin_ns != 0) {
     // Ingest closes here: origin -> ready-to-run covers the caller's spans
-    // (director pool/ring/classify) plus this feed's admission and alloc
-    // backpressure. The mark opens the first queue span.
+    // (director pool/ring/classify). The mark opens the first queue span.
     const u64 now = telemetry::mono_now_ns();
     lat.ingest_ns = sat_sub(now, lat.origin_ns);
     lat.mark_ns = now;
   }
-  return exec_->run(pkt);
+  run_graph(pkt);
+}
+
+Packet* LivePipeline::run_parallel_segment(std::size_t seg_idx, Packet* pkt) {
+  const Segment& seg = graph_.segments()[seg_idx];
+  const FanoutPlan& plan = fanout_[seg_idx];
+  const auto& nfs = nfs_[seg_idx];
+
+  pkt->meta().set_mid(seg.mid);
+  pkt->meta().set_version(1);
+  VersionPackets version_pkt{};
+  version_pkt[1] = pkt;
+  // No consumer refs: the branches run one after another on this thread,
+  // so a version shared by several NFs needs no concurrent-consumer
+  // refcount — each distinct version is released exactly once below.
+  if (!fan_out(plan, version_pkt, *mag_, /*consumer_refs=*/false)) {
+    drop(pkt, telemetry::DropReason::kPoolExhausted, "fanout");
+    return nullptr;
+  }
+
+  // The fused branch-sequence: every branch NF in declaration order on its
+  // version's packet. Drop intents collect out-of-band in MergeArrivals:
+  // a sibling sharing a version must not clobber another's intent on the
+  // packet, or the merge's drop resolution would read the last writer.
+  open_service(*pkt);
+  for (std::size_t k = 0; k < nfs.size(); ++k) {
+    const u8 v = plan.nf_version[k];
+    Packet* version = version_pkt[v];
+    arrivals_[k] = MergeArrival{
+        version, nfs[k].meta.priority, v, nfs[k].meta.can_drop,
+        process_packet(*nfs[k].impl, *version) == NfVerdict::kDrop};
+  }
+  close_service(*pkt);
+
+  Packet* merged = merge_segment(seg, {arrivals_.data(), nfs.size()});
+  if (merged == nullptr) {
+    note_drop(telemetry::DropReason::kNfVerdict, "merge", &pkt->flow());
+  }
+  for (Packet* version : version_pkt) {
+    if (version != nullptr && version != merged) mag_->release(version);
+  }
+  return merged;
+}
+
+void LivePipeline::run_graph(Packet* pkt) {
+  const auto& segs = graph_.segments();
+  for (std::size_t s = 0; s < segs.size(); ++s) {
+    const Segment& seg = segs[s];
+    if (seg.is_parallel()) {
+      pkt = run_parallel_segment(s, pkt);
+      if (pkt == nullptr) return;  // dropped; reason already tagged
+      continue;
+    }
+    // Sequential hop: a direct function call. queue = mark -> this call,
+    // service = the process span.
+    pkt->meta().set_mid(seg.mid);
+    pkt->meta().set_version(1);
+    open_service(*pkt);
+    const NfVerdict verdict = process_packet(*nfs_[s][0].impl, *pkt);
+    close_service(*pkt);
+    if (verdict == NfVerdict::kDrop) {
+      drop(pkt, telemetry::DropReason::kNfVerdict, stage_[s].c_str());
+      return;
+    }
+  }
+
+  // Delivered. The last mark is "now", so egress = total - accounted
+  // covers only clock quirks.
+  outputs_.push(pkt->bytes());
+  finalize_latency(*pkt);
+  mag_->release(pkt);
+  delivered_.increment();
 }
 
 LiveResult LivePipeline::drain() {
@@ -330,9 +313,10 @@ LiveResult LivePipeline::drain() {
         "drain() may only be called once)");
     return bad;
   }
-  LiveResult result = exec_->finish();
-  result.dropped += dropped_by(telemetry::DropReason::kMalformed);
-  feeder_mag_.reset();  // returns its cached slots to the pool
+  LiveResult result;
+  result.outputs = std::move(outputs_);
+  result.dropped = dropped_so_far();
+  mag_.reset();  // returns its cached slots to the pool
   return result;
 }
 

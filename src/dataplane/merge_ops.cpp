@@ -34,7 +34,8 @@ class ByVersion {
 
 Packet* apply_ops(const Segment& seg, const ByVersion& by_version) {
   Packet* base = by_version.base();
-  if (base == nullptr) return nullptr;
+  // No operations, no parse: the base goes out as its NFs left it.
+  if (base == nullptr || seg.merge.ops.empty()) return base;
 
   PacketView base_view(*base);
   for (const MergeOp& op : seg.merge.ops) {

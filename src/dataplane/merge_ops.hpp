@@ -1,7 +1,7 @@
 // Segment exit, the second half of the segment kernel (fanout_plan.hpp has
 // the first): drop resolution and the byte-level merge operations (paper
-// §5.2-5.3, Fig 6). Shared by the simulated NfpDataplane and both live
-// executors (pipelined and rtc).
+// §5.2-5.3, Fig 6). Shared by the simulated NfpDataplane and the live
+// pipeline.
 #pragma once
 
 #include <span>
@@ -25,13 +25,6 @@ struct MergeArrival {
   u8 version = 1;
   bool can_drop = false;
   bool drop_intent = false;
-  // Latency-observatory spans reported by the sending NF for sampled
-  // packets (zero otherwise; pipelined plane only). Carried here for the
-  // same reason: parallel NFs sharing one packet version must not write
-  // the packet's stamp bytes.
-  u64 queue_ns = 0;
-  u64 service_ns = 0;
-  u64 out_ns = 0;  // when the NF pushed this arrival to its out ring
 };
 
 // Resolves one packet's drop verdict over its arrivals (§5.2 nil packets):

@@ -158,11 +158,9 @@ ShardedDataplane::ShardedDataplane(std::vector<ServiceGraph> graphs,
       sh.director_cycles = std::make_unique<telemetry::CycleCounters>();
       sh.director_spins = std::make_unique<std::atomic<u64>>(0);
     }
-    LivePipelineOptions popts = opts_.pipeline;
-    popts.pin_core = opts_.pin_threads ? static_cast<int>(s) : -1;
     for (std::size_t g = 0; g < graphs_.size(); ++g) {
       sh.pipelines.push_back(std::make_unique<LivePipeline>(
-          graphs_[g], factory, popts, sh.pool.get()));
+          graphs_[g], factory, opts_.pipeline, sh.pool.get()));
       sh.pipelines.back()->set_drop_exemplar_ring(&sh.flows->exemplars());
       sh.graph_counts.push_back(std::make_unique<telemetry::OwnedCounter>());
     }
@@ -320,9 +318,9 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
   Backoff idle;
 
   // One clock read per iteration (the heartbeat's) closes the previous
-  // accounting interval and opens the next. Classifier-miss time and
-  // pipeline feed waits land inside the useful lap here and are carved
-  // out at scrape time from their own monotone counters.
+  // accounting interval and opens the next. Classifier-miss time lands
+  // inside the useful lap here and is carved out at scrape time from its
+  // own monotone counter.
   u64 beat = telemetry::mono_now_ns();
   telemetry::CycleAccountant acct(sh.cycles.get(), beat);
 
@@ -460,17 +458,8 @@ ShardedResult ShardedDataplane::run(
 
 bool ShardedDataplane::affinity_applied() const {
   const u64 attempts = affinity_attempts_.load(std::memory_order_relaxed);
-  bool any = attempts > 0;
-  bool all = affinity_ok_.load(std::memory_order_relaxed) == attempts;
-  for (const Shard& sh : shards_) {
-    for (const auto& pipeline : sh.pipelines) {
-      if (pipeline->affinity_attempts() > 0) {
-        any = true;
-        all = all && pipeline->affinity_applied();
-      }
-    }
-  }
-  return any && all;
+  return attempts > 0 &&
+         affinity_ok_.load(std::memory_order_relaxed) == attempts;
 }
 
 u64 ShardedDataplane::microflow_hits() const {
@@ -541,26 +530,22 @@ telemetry::ShardScalabilitySnapshot ShardedDataplane::scalability_snapshot(
   Shard& sh = shards_.at(s);
   telemetry::ShardScalabilitySnapshot snap;
 
-  // The worker's exact per-iteration buckets. Its useful lap contains two
-  // spans measured elsewhere on their own monotone counters — CT miss
-  // resolution (cache miss_ns) and pipeline feed waits — so re-bucket
-  // them: subtract from useful (saturating; both are sub-intervals of
-  // useful by construction), then add them back under their own category.
-  // The per-shard bucket sum is preserved exactly.
+  // The worker's exact per-iteration buckets. Its useful lap contains CT
+  // miss resolution, measured on its own monotone counter (cache miss_ns),
+  // so re-bucket it: subtract from useful (saturating; it is a
+  // sub-interval of useful by construction), then add it back under its
+  // own category. The per-shard bucket sum is preserved exactly.
   if (sh.cycles != nullptr) {
     for (std::size_t b = 0; b < telemetry::kCycleBucketCount; ++b) {
       snap.ns[b] += sh.cycles->get(static_cast<telemetry::CycleBucket>(b));
     }
-    u64 carve = sh.cache->miss_ns();
-    for (const auto& pipeline : sh.pipelines) {
-      carve += pipeline->feeder_wait_ns();
-    }
+    const u64 carve = sh.cache->miss_ns();
     const auto useful = static_cast<std::size_t>(
         telemetry::CycleBucket::kUseful);
     const auto miss = static_cast<std::size_t>(
         telemetry::CycleBucket::kClassifierMiss);
     snap.ns[useful] = snap.ns[useful] >= carve ? snap.ns[useful] - carve : 0;
-    snap.ns[miss] += sh.cache->miss_ns();
+    snap.ns[miss] += carve;
     ++snap.threads;
   }
   if (sh.director_cycles != nullptr) {
@@ -571,10 +556,11 @@ telemetry::ShardScalabilitySnapshot ShardedDataplane::scalability_snapshot(
     snap.backoff_spins +=
         sh.director_spins->load(std::memory_order_relaxed);
   }
-  // The pipelines draw from the shard pool and leave its evidence out, so
-  // the pool counts once.
-  for (auto& pipeline : sh.pipelines) {
-    snap += pipeline->scalability_snapshot();
+  // The pipelines run inside the worker's laps and keep no cycle counters;
+  // they add their progress.
+  for (const auto& pipeline : sh.pipelines) {
+    snap.delivered += pipeline->delivered_so_far();
+    snap.dropped += pipeline->dropped_so_far();
   }
   snap.pool_cas_retries += sh.pool->cas_retry_total();
   snap.ring_full_events += sh.ring->full_events();

@@ -12,9 +12,10 @@
 //     shard-local NF state (monitors, NAT maps, shapers) follow for free;
 //     cross-flow ordering is intentionally unspecified, exactly as with
 //     hardware RSS.
-//   * one worker thread + G LivePipelines per shard, all pinned to the
-//     shard's core (cpu_affinity; graceful no-op where pinning is denied,
-//     reported via affinity_applied()).
+//   * one worker thread per shard, pinned to the shard's core
+//     (cpu_affinity; graceful no-op where pinning is denied, reported via
+//     affinity_applied()), runs each frame to completion through one of
+//     the shard's G LivePipelines — one per service graph.
 //   * live multi-graph classification: the shard worker consults the shared
 //     LiveClassificationTable through a per-shard exact-match microflow
 //     cache (live_classifier.hpp), so steady-state classification is one
@@ -26,7 +27,8 @@
 // shard's SPSC ring, one cache line per frame. The shard worker activates
 // the slot on its own core (metadata, refcount, flow, origin, inject_time),
 // classifies it and hands it to the verdict graph's pipeline
-// (LivePipeline::feed_packet), which runs it in place. Every pipeline of a
+// (LivePipeline::feed_packet), which runs it in place through the whole
+// graph before the worker takes the next descriptor. Every pipeline of a
 // shard draws from the one shard pool, so a delivered frame's payload is
 // copied twice: in at the director, out into a block of the pipeline's
 // LiveResult::outputs (a FrameList) at delivery; drain() hands those
@@ -70,10 +72,10 @@ class Watchdog;
 struct ShardedDataplaneOptions {
   // Shard count; 0 = one shard per online CPU (the RSS default).
   std::size_t shards = 0;
-  // Applied to every shard pipeline. pin_core is overwritten per shard
-  // when pin_threads is set; pool_size is unused (the shard pool serves).
+  // Applied to every shard pipeline; pool_size is unused (the shard pool
+  // serves).
   LivePipelineOptions pipeline;
-  // Pin each shard's worker + pipeline threads to core (shard % online).
+  // Pin each shard's worker thread to core (shard % online).
   bool pin_threads = true;
   // Per-shard microflow-cache entries (bounded LRU ahead of the CT).
   std::size_t microflow_capacity = 1024;
@@ -136,10 +138,11 @@ class ShardedDataplane {
   // Distinct mask signatures in the live classifier snapshot.
   std::size_t classifier_tuple_count() const;
 
-  // Streaming lifecycle, mirroring LivePipeline: start() spawns the shard
-  // workers and their pipelines (once per instance), feed() dispatches one
-  // frame (single director thread; blocks while the target ring is full),
-  // drain() flushes everything and joins. run() composes the three.
+  // Streaming lifecycle, mirroring LivePipeline: start() arms the shard
+  // pipelines and spawns the workers (once per instance), feed()
+  // dispatches one frame (single director thread; blocks while the target
+  // ring is full), drain() flushes everything and joins. run() composes
+  // the three.
   // feed() refuses, as a counted drop, a frame offered while the plane is
   // not running (shutdown_drain) or longer than Packet::kMaxDataLen
   // (malformed).
@@ -155,16 +158,9 @@ class ShardedDataplane {
   std::size_t shard_count() const noexcept { return shards_.size(); }
   std::size_t graph_count() const noexcept { return graphs_.size(); }
 
-  // The execution mode graph g's pipelines resolved to (identical across
-  // shards — every shard runs the same graph under the same options). With
-  // exec_mode == kAuto in the options this reports the concrete choice.
-  ExecMode exec_mode(std::size_t g = 0) const {
-    return shards_.at(0).pipelines.at(g)->exec_mode();
-  }
-
-  // True once every pin attempt across shard workers and pipeline threads
-  // succeeded (requires pin_threads and a started dataplane; false in
-  // containers that deny sched_setaffinity).
+  // True once every shard worker's pin attempt succeeded (requires
+  // pin_threads and a started dataplane; false in containers that deny
+  // sched_setaffinity).
   bool affinity_applied() const;
 
   // Microflow-cache telemetry, aggregated and per shard.
@@ -197,9 +193,10 @@ class ShardedDataplane {
                        telemetry::Watchdog* watchdog);
 
   // Shard-level cycle/contention fold (the scalability view): the
-  // worker's buckets (classifier-miss and pipeline feed waits carved out
-  // of useful), every pipeline thread's buckets, the director's waits on
-  // this shard, and the pool/ring contention evidence. Scrape-time only.
+  // worker's buckets (classifier-miss time carved out of useful, which
+  // includes the graph walk), the director's waits on this shard, every
+  // pipeline's progress counters, and the pool/ring contention evidence.
+  // Scrape-time only.
   telemetry::ShardScalabilitySnapshot scalability_snapshot(std::size_t s);
 
   // Shard s's three views in one pass: the cycle fold above; each

@@ -10,8 +10,8 @@
 // slots finds them by linear probing; the stored 32-bit hash filters
 // candidates before a key compare and gives each slot's home without
 // rehashing, so deletion shifts the cluster back instead of leaving
-// tombstones (the MergeTable idiom). Erased entries go on a free list, and
-// an insert at capacity reuses the evicted entry in place, so once the
+// tombstones. Erased entries go on a free list, and an insert at capacity
+// reuses the evicted entry in place, so once the
 // table has grown to its working size an insert, evict, refresh or erase
 // allocates nothing and a lookup reads one slot and one entry. The index
 // keeps at most half its slots in use and doubles with the entries up to

@@ -433,8 +433,8 @@ Result<ServiceGraph> compile_policy(const Policy& policy,
     }
     // A payload writer may resize the packet, rewriting its length, the IP
     // total length and the checksums that every other NF's parse reads: it
-    // shares its version with no one, or the pipelined plane's NF threads
-    // would race on those bytes.
+    // shares its version with no one, or NFs that run at the same time
+    // (the paper's one-NF-per-core deployment) would race on those bytes.
     for (std::size_t a = 0; a < conflict.size(); ++a) {
       if (!table.profile(body[static_cast<std::size_t>(members[a])])
                .writes(Field::kPayload)) {

@@ -62,17 +62,15 @@ class Metadata {
 
 // Latency-observatory stamps carried by sampled packets (all zero — in
 // particular origin_ns == 0 — on unsampled ones, so the hot path pays one
-// branch). Written only by the thread that currently owns the packet
-// version: parallel NFs sharing a version report their spans through the
-// merge envelope instead of touching these bytes.
+// branch). Written only by the thread that owns the packet; a parallel
+// segment stamps its version-1 packet around the whole fused branch
+// sequence.
 struct LatencyStamps {
   u64 origin_ns = 0;   // director/pipeline ingest stamp; 0 = not sampled
   u64 mark_ns = 0;     // last hop boundary (telescoping mark)
   u64 ingest_ns = 0;   // origin -> first pipeline feed
-  u64 queue_ns = 0;    // accumulated ring-residency spans
+  u64 queue_ns = 0;    // accumulated spans between NF calls
   u64 service_ns = 0;  // accumulated NetworkFunction::process spans
-  u64 merge_ns = 0;    // accumulated merge-wait spans
-  u64 merges = 0;      // merge points traversed; 0 = purely sequential path
 };
 
 class Packet {

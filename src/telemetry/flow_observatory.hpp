@@ -70,8 +70,8 @@ enum class DropReason : unsigned {
   kPoolExhausted,    // packet-pool alloc/clone failure (fanout copies, feeds)
   kNfVerdict,        // an NF (or the merge drop-resolution) said kDrop
   kClassifierMiss,   // CT verdict was the drop graph (kDropGraph)
-  kMergeOverflow,    // merge accumulation failed (defensive; not reachable
-                     // today — MergeTable grows instead of dropping)
+  kMergeOverflow,    // merge accumulation failed (defensive; no live path
+                     // tags it — a fused merge holds every arrival)
   kShutdownDrain,    // frame offered while the plane was not running
   kMalformed,        // frame longer than a packet slot holds
                      // (Packet::kMaxDataLen), refused before a slot is taken
@@ -196,7 +196,7 @@ struct DropExemplar {
   FiveTuple tuple{};
   bool tuple_valid = false;
   DropReason reason = DropReason::kNfVerdict;
-  std::string stage;  // "director", "feeder", "nf:firewall#2", "merger", ...
+  std::string stage;  // "director", "feeder", "nf:firewall#2", "merge", ...
   u64 when_ns = 0;    // mono_now_ns at the drop
 };
 

@@ -6,17 +6,17 @@
 // vs. the sequential chain (§6) — and the scalability view only
 // attributes lost *throughput*. This view attributes every lost
 // microsecond: deterministic 1-in-N sampling stamps selected packets at
-// each hop and the egress thread decomposes the end-to-end time into an
-// exact stage partition,
+// each hop and delivery decomposes the end-to-end time into an exact
+// stage partition,
 //
-//   ingest      director feed() -> pipeline feed() (director pool/ring,
-//               shard-worker classify, pipeline alloc + window waits)
-//   queue       ring residency: enqueue -> the consuming NF reaches the
-//               packet (includes in-burst head-of-line blocking)
-//   service     inside NetworkFunction::process() calls
-//   merge_wait  last sibling's out-ring push -> merge resolution (the
-//               merger's reaction time; a slow sibling's cost lands in
-//               queue/service of the critical branch, where it belongs)
+//   ingest      director feed() -> pipeline entry on the shard worker
+//               (director pool/ring, shard-worker classify)
+//   queue       between NF calls: fan-out copies, merges and the step
+//               from one hop to the next
+//   service     inside NetworkFunction::process() calls; a parallel
+//               segment's branches, run one after another, are one span
+//   merge_wait  a wait for a merge's last arrival. The live plane records
+//               none: its merge is fused, with every arrival in hand
 //   egress      the saturating remainder to end-to-end (result commit,
 //               clock quantization) — ~0 by construction
 //   total       origin stamp -> delivery
@@ -24,9 +24,6 @@
 // Stage spans telescope hop by hop (each hop contributes exactly
 // next_mark - prev_mark), so ingest+queue+service+merge_wait+egress ==
 // total per packet, which is the invariant the live 2-shard test asserts.
-// In a parallel segment the merger follows the *critical branch* (the
-// arrival whose out-push completed the merge set): its queue/service are
-// accumulated and merge_wait is the span from its push to resolution.
 //
 // The recording contract mirrors the scalability view: samples land in
 // per-thread, cacheline-aligned StageLatencyBlocks written by exactly one

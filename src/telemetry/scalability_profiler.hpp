@@ -4,17 +4,18 @@
 //
 // BENCH_shard_scaling.json says par4 at 2 shards runs at 0.609x the
 // 1-shard rate; this view answers *where* the other 39% went. The
-// model is per-thread cycle accounting: every dataplane loop (shard
-// worker, NF thread, merger) already reads the monotonic clock once per
-// iteration for its heartbeat, so each iteration's wall-time interval is
-// classified — at the cost of one relaxed fetch_add to a thread-private
-// cacheline — into exactly one bucket:
+// model is per-thread cycle accounting: the shard worker's loop already
+// reads the monotonic clock once per iteration for its heartbeat, so each
+// iteration's wall-time interval is classified — at the cost of one
+// relaxed fetch_add to a thread-private cacheline — into exactly one
+// bucket, and the director books its waits to the shard that stalled it:
 //
 //   useful        packets were processed (burst pop + NF work + delivery)
 //   starved       idle with nothing upstream (ingest-starved polling)
 //   ring_wait     spinning on a full ring (backpressure from downstream)
 //   pool_wait     spinning on an exhausted packet pool / CAS contention
-//   merge_wait    merger idle while siblings of in-flight packets are due
+//   merge_wait    waiting for a merge's last arrival; no live thread books
+//                 it, because the live merge is fused
 //   classifier_miss  microflow-cache miss resolving through the shared CT
 //
 // Because the buckets partition each thread's loop wall-time, per-shard

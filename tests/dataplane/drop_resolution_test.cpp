@@ -2,8 +2,8 @@
 // nil packets): Order-derived parallelism uses "any drop wins" (sequential
 // semantics); Priority-declared parallelism lets the highest-priority
 // drop-capable NF decide — Priority(IPS > Firewall) adopts the IPS result.
-// Every verdict case runs on all three planes: the simulated dataplane and
-// the pipelined and rtc live executors, which share one segment kernel.
+// Every verdict case runs on both planes: the simulated dataplane and the
+// live pipeline, which share one segment kernel.
 #include <gtest/gtest.h>
 
 #include "../support/plane_runs.hpp"
@@ -54,15 +54,10 @@ std::vector<std::vector<u8>> make_frames() {
   return frames;
 }
 
-enum class Plane { kSimulated, kPipelined, kRtc };
+enum class Plane { kSimulated, kLive };
 
 const char* plane_name(Plane plane) {
-  switch (plane) {
-    case Plane::kSimulated: return "simulated";
-    case Plane::kPipelined: return "pipelined";
-    case Plane::kRtc: return "rtc";
-  }
-  return "?";
+  return plane == Plane::kSimulated ? "simulated" : "live";
 }
 
 // Runs the compiled policy on `plane` and returns the packets delivered;
@@ -77,10 +72,7 @@ u64 run_and_count_delivered(const std::string& policy_text, bool ips_drops,
   const test_support::PlaneRun run =
       plane == Plane::kSimulated
           ? test_support::run_simulated(graph.value(), frames, factory)
-          : test_support::run_live(
-                graph.value(), frames,
-                plane == Plane::kRtc ? ExecMode::kRtc : ExecMode::kPipelined,
-                factory);
+          : test_support::run_live(graph.value(), frames, factory);
   EXPECT_EQ(run.outputs.size() + run.dropped, kPackets) << plane_name(plane);
   return run.outputs.size();
 }
@@ -93,8 +85,7 @@ struct VerdictCase {
 };
 
 void expect_on_every_plane(const VerdictCase& c) {
-  for (const Plane plane :
-       {Plane::kSimulated, Plane::kPipelined, Plane::kRtc}) {
+  for (const Plane plane : {Plane::kSimulated, Plane::kLive}) {
     EXPECT_EQ(run_and_count_delivered(c.policy, c.ips_drops, plane),
               c.delivered)
         << plane_name(plane);

@@ -128,9 +128,8 @@ TEST(RtcExecutor, DeliversWithoutAHeapAllocationPerFrame) {
     pool.release(p);
   }
 
-  LivePipelineOptions opts;
-  opts.exec_mode = ExecMode::kRtc;  // the executor runs on this thread
-  LivePipeline pipe(std::move(graph).take(), {}, opts);
+  // The pipeline runs each fed frame on this thread.
+  LivePipeline pipe(std::move(graph).take());
   ASSERT_TRUE(pipe.start().is_ok());
   std::size_t allocations = 0;
   {

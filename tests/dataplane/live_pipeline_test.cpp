@@ -1,5 +1,5 @@
-// Tests for the live (real-threads) pipeline: functional equivalence with
-// the simulated dataplane on the same compiled graphs.
+// Tests for the live pipeline: functional equivalence with the simulated
+// dataplane on the same compiled graphs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,7 +51,7 @@ TEST(LivePipeline, SequentialChainDeliversEverything) {
 }
 
 TEST(LivePipeline, ParallelStageMergesOnRealThreads) {
-  // IDS ∥ Monitor ∥ LB with a real header copy, merged by the merger thread.
+  // IDS ∥ Monitor ∥ LB with a real header copy, merged inline.
   LivePipeline pipe(compile_chain({"ids", "monitor", "lb"}));
   const auto frames = make_frames(48);
   const LiveResult result = pipe.run(frames);
@@ -93,7 +93,7 @@ TEST(LivePipeline, MatchesSimulatedDataplaneOutputs) {
   }
   sim.run();
 
-  // The live pipeline may reorder across flows; compare as multisets.
+  // Compare as multisets, as every cross-plane check does.
   ASSERT_EQ(live.outputs.size(), sim_out.size());
   std::sort(sim_out.begin(), sim_out.end());
   EXPECT_EQ(test_support::sorted_frames(live.outputs), sim_out);
@@ -101,8 +101,8 @@ TEST(LivePipeline, MatchesSimulatedDataplaneOutputs) {
 
 // Hand-built 1 + 4 + 1 tree: a sequential monitor, then a 4-NF parallel
 // stage spanning two packet versions with a kModify merge op, then a
-// sequential hop. Exercises fanout copies, extra refs on shared versions,
-// the merge table, and merge-op application.
+// sequential hop. Exercises fanout copies, versions shared by several
+// NFs, and merge-op application.
 ServiceGraph make_tree_graph() {
   ServiceGraph g("tree");
   Segment pre;
@@ -131,26 +131,24 @@ ServiceGraph make_tree_graph() {
   return g;
 }
 
-// Tiny rings, tiny pool, burst larger than the ring: the clamps and the
-// in-flight window must keep the pipeline live under heavy backpressure.
+// The smallest pool that holds a magazine plus one packet's versions, no
+// magazine at all, and oversized everything: each must deliver every
+// frame and leak no slot.
 TEST(LivePipeline, SurvivesAggressiveOptionSweep) {
   const auto frames = make_frames(120);
   const LivePipelineOptions sweeps[] = {
-      {.ring_depth = 4, .pool_size = 16, .in_flight_window = 0,
-       .magazine_size = 2, .burst_size = 64},   // burst > depth: clamped
-      {.ring_depth = 8, .pool_size = 24, .in_flight_window = 1,
-       .magazine_size = 0, .burst_size = 1},    // no magazines, min window
-      {.ring_depth = 512, .pool_size = 4096, .in_flight_window = 128,
-       .magazine_size = 128, .burst_size = 64},  // oversized everything
+      {.pool_size = 4, .magazine_size = 2},      // magazine + 2 versions
+      {.pool_size = 2, .magazine_size = 0},      // no magazine
+      {.pool_size = 4096, .magazine_size = 128},  // oversized everything
   };
   for (const auto& opts : sweeps) {
     LivePipeline pipe(make_tree_graph(), {}, opts);
     const LiveResult result = pipe.run(frames);
     EXPECT_EQ(result.outputs.size(), 120u)
-        << "ring_depth=" << opts.ring_depth << " pool=" << opts.pool_size;
+        << "pool=" << opts.pool_size << " magazine=" << opts.magazine_size;
     EXPECT_EQ(result.dropped, 0u);
     EXPECT_EQ(pipe.refcnt_underflows(), 0u);
-    EXPECT_EQ(pipe.pool_in_use(), 0u) << "leak under backpressure";
+    EXPECT_EQ(pipe.pool_in_use(), 0u) << "leaked a slot";
   }
 }
 
@@ -177,7 +175,7 @@ TEST(LivePipeline, DropsPropagateThroughNilPackets) {
 TEST(LivePipeline, FeedStampsArrivalForTheShaper) {
   // feed() stamps inject_time, so the shaper's token bucket refills: 2,048
   // 64-B frames (128 KB, twice its 64 KB bucket) at far below 1.25 GB/s
-  // conform, in both exec modes.
+  // conform.
   PacketPool pool(1);
   PacketSpec spec;
   Packet* p = build_packet(pool, spec);
@@ -185,18 +183,13 @@ TEST(LivePipeline, FeedStampsArrivalForTheShaper) {
       2'048, std::vector<u8>(p->data(), p->data() + p->length()));
   pool.release(p);
   ASSERT_EQ(frames.front().size(), 64u);
-  for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
-    SCOPED_TRACE(exec_mode_name(mode));
-    LivePipelineOptions opts;
-    opts.exec_mode = mode;
-    LivePipeline pipe(compile_chain({"shaper"}), {}, opts);
-    const LiveResult result = pipe.run(frames);
-    ASSERT_TRUE(result.status.is_ok());
-    EXPECT_EQ(result.outputs.size(), frames.size());
-    auto* shaper = dynamic_cast<TrafficShaper*>(pipe.nf(0, 0));
-    ASSERT_NE(shaper, nullptr);
-    EXPECT_EQ(shaper->out_of_profile(), 0u);
-  }
+  LivePipeline pipe(compile_chain({"shaper"}));
+  const LiveResult result = pipe.run(frames);
+  ASSERT_TRUE(result.status.is_ok());
+  EXPECT_EQ(result.outputs.size(), frames.size());
+  auto* shaper = dynamic_cast<TrafficShaper*>(pipe.nf(0, 0));
+  ASSERT_NE(shaper, nullptr);
+  EXPECT_EQ(shaper->out_of_profile(), 0u);
 }
 
 }  // namespace

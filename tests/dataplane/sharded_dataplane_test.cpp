@@ -174,9 +174,9 @@ TEST(ShardedDataplane, MultiGraphClassificationSteersFlows) {
 
 TEST(ShardedDataplane, MaskedRulesSteerModeInvariantlyThroughCache) {
   // Masked CT rules (the tuple-space path, not exact entries) steering
-  // into a dropping graph: the delivered multiset must be identical in
-  // both execution modes and the microflow cache must still absorb the
-  // steady state — the contract the classifier rewrite has to preserve.
+  // into a dropping graph: exactly the matching flows die and the
+  // microflow cache must still absorb the steady state — the contract the
+  // classifier rewrite has to preserve.
   const auto drop_factory =
       [](const StageNf& nf) -> std::unique_ptr<NetworkFunction> {
     if (nf.name == "firewall") {
@@ -189,46 +189,39 @@ TEST(ShardedDataplane, MaskedRulesSteerModeInvariantlyThroughCache) {
   const std::size_t kFlows = 12;
   const auto frames = make_flow_frames(2'400, kFlows);
 
-  const auto run_mode = [&](ExecMode mode) {
-    ShardedDataplaneOptions opts;
-    opts.shards = 2;
-    opts.pipeline.exec_mode = mode;
-    std::vector<ServiceGraph> graphs;
-    graphs.push_back(compile_chain({"monitor"}));
-    graphs.push_back(compile_chain({"firewall"}));
-    ShardedDataplane dp(std::move(graphs), drop_factory, opts);
-    // Wide low-priority rule keeps the whole test subnet on graph 0; a
-    // narrower higher-priority port rule overrides it into the dropping
-    // graph — the verdict depends on priority order, not just matching.
-    CtRule keep;
-    keep.src_ip = 0x0A300000;
-    keep.src_mask = 0xFFFF0000;
-    keep.priority = 1;
-    keep.graph = 0;
-    CtRule drop;
-    drop.match_dst_port = true;
-    drop.dst_port = 444;
-    drop.priority = 5;
-    drop.graph = 1;
-    dp.add_rules({keep, drop});
+  ShardedDataplaneOptions opts;
+  opts.shards = 2;
+  std::vector<ServiceGraph> graphs;
+  graphs.push_back(compile_chain({"monitor"}));
+  graphs.push_back(compile_chain({"firewall"}));
+  ShardedDataplane dp(std::move(graphs), drop_factory, opts);
+  // Wide low-priority rule keeps the whole test subnet on graph 0; a
+  // narrower higher-priority port rule overrides it into the dropping
+  // graph — the verdict depends on priority order, not just matching.
+  CtRule keep;
+  keep.src_ip = 0x0A300000;
+  keep.src_mask = 0xFFFF0000;
+  keep.priority = 1;
+  keep.graph = 0;
+  CtRule drop;
+  drop.match_dst_port = true;
+  drop.dst_port = 444;
+  drop.priority = 5;
+  drop.graph = 1;
+  dp.add_rules({keep, drop});
 
-    ShardedResult res = dp.run(frames);
-    EXPECT_TRUE(res.status.is_ok());
-    const u64 hits = dp.microflow_hits();
-    const u64 misses = dp.microflow_misses();
-    EXPECT_EQ(hits + misses, frames.size());
-    EXPECT_GE(static_cast<double>(hits) / static_cast<double>(hits + misses),
-              0.9);
-    return test_support::sorted_frames(res.outputs);
-  };
-
-  const auto pipelined = run_mode(ExecMode::kPipelined);
-  const auto rtc = run_mode(ExecMode::kRtc);
+  ShardedResult res = dp.run(frames);
+  EXPECT_TRUE(res.status.is_ok());
+  const u64 hits = dp.microflow_hits();
+  const u64 misses = dp.microflow_misses();
+  EXPECT_EQ(hits + misses, frames.size());
+  EXPECT_GE(static_cast<double>(hits) / static_cast<double>(hits + misses),
+            0.9);
+  const auto delivered = test_support::sorted_frames(res.outputs);
   // dst_port 444 hits flows with index % 3 == 1: 4 of 12 flows, uniformly
   // round-robined -> exactly a third of the frames die in graph 1.
-  EXPECT_EQ(pipelined.size(), 1'600u);
-  EXPECT_EQ(pipelined, rtc);
-  for (const auto& frame : pipelined) {
+  EXPECT_EQ(delivered.size(), 1'600u);
+  for (const auto& frame : delivered) {
     const auto tuple = parse_five_tuple({frame.data(), frame.size()});
     ASSERT_TRUE(tuple.has_value());
     EXPECT_NE(tuple->dst_port, 444u) << "flow escaped the masked drop rule";
@@ -365,7 +358,6 @@ TEST(ShardedDataplane, ShardPoolTelemetryCountsOnce) {
   const std::size_t kFlows = 12;
   ShardedDataplaneOptions opts;
   opts.shards = 1;
-  opts.pipeline.exec_mode = ExecMode::kRtc;
   // Two-slot magazines move a slot through the free list every other
   // packet, so the director's refills race the worker's flushes.
   opts.pipeline.magazine_size = 2;
@@ -395,7 +387,7 @@ TEST(ShardedDataplane, ShardPoolTelemetryCountsOnce) {
   wait_until_done(dp, fed);
 
   // Quiescent: the slots out of the free list are the ones the magazines
-  // cache, at least the two each graph's executor keeps.
+  // cache, at least the two each graph's pipeline keeps.
   sampler.sample_once();
   std::size_t series = 0;
   for (const auto& [key, gauge] : registry.gauges()) {
@@ -416,7 +408,7 @@ TEST(ShardedDataplane, ShardPoolTelemetryCountsOnce) {
 TEST(ShardedDataplane, ShardPoolsGetEverySlotBackOnDrain) {
   // Whatever ends a frame — delivery through a header-only fanout copy and
   // merge, an NF verdict, a CT drop rule, a director tail drop — its slots
-  // are back in the shard pool once drain() returns, in both modes.
+  // are back in the shard pool once drain() returns.
   const auto drop_factory =
       [](const StageNf& nf) -> std::unique_ptr<NetworkFunction> {
     if (nf.name == "firewall") {
@@ -428,45 +420,41 @@ TEST(ShardedDataplane, ShardPoolsGetEverySlotBackOnDrain) {
   };
   const std::size_t kFlows = 24;
   const auto frames = make_flow_frames(8'000, kFlows);
-  for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
-    SCOPED_TRACE(exec_mode_name(mode));
-    ShardedDataplaneOptions opts;
-    opts.shards = 2;
-    opts.pipeline.exec_mode = mode;
-    opts.ingest_ring_depth = 4;  // tiny RX ring: the director tail-drops
-    opts.drop_on_ingest_backpressure = true;
-    std::vector<ServiceGraph> graphs;
-    graphs.push_back(header_copy_graph());
-    graphs.push_back(compile_chain({"firewall"}));
-    ShardedDataplane dp(std::move(graphs), drop_factory, opts);
-    for (std::size_t f = 0; f < kFlows; f += 3) {
-      dp.add_flow_rule(test_tuple(f), 1);
-      dp.add_flow_rule(test_tuple(f + 1), LiveClassificationTable::kDropGraph);
-    }
+  ShardedDataplaneOptions opts;
+  opts.shards = 2;
+  opts.ingest_ring_depth = 4;  // tiny RX ring: the director tail-drops
+  opts.drop_on_ingest_backpressure = true;
+  std::vector<ServiceGraph> graphs;
+  graphs.push_back(header_copy_graph());
+  graphs.push_back(compile_chain({"firewall"}));
+  ShardedDataplane dp(std::move(graphs), drop_factory, opts);
+  for (std::size_t f = 0; f < kFlows; f += 3) {
+    dp.add_flow_rule(test_tuple(f), 1);
+    dp.add_flow_rule(test_tuple(f + 1), LiveClassificationTable::kDropGraph);
+  }
 
-    const ShardedResult res = dp.run(frames);
-    ASSERT_TRUE(res.status.is_ok());
-    EXPECT_GT(res.outputs.size(), 0u);
-    EXPECT_EQ(res.outputs.size() + res.dropped, frames.size());
-    std::array<u64, telemetry::kDropReasonCount> reasons{};
-    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
-      const telemetry::ShardFlowSnapshot snap = dp.flow_snapshot(s);
-      for (std::size_t r = 0; r < reasons.size(); ++r) {
-        reasons[r] += snap.drops[r];
-      }
+  const ShardedResult res = dp.run(frames);
+  ASSERT_TRUE(res.status.is_ok());
+  EXPECT_GT(res.outputs.size(), 0u);
+  EXPECT_EQ(res.outputs.size() + res.dropped, frames.size());
+  std::array<u64, telemetry::kDropReasonCount> reasons{};
+  for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+    const telemetry::ShardFlowSnapshot snap = dp.flow_snapshot(s);
+    for (std::size_t r = 0; r < reasons.size(); ++r) {
+      reasons[r] += snap.drops[r];
     }
-    const auto count = [&](telemetry::DropReason r) {
-      return reasons[static_cast<std::size_t>(r)];
-    };
-    EXPECT_GT(count(telemetry::DropReason::kNfVerdict), 0u);
-    EXPECT_GT(count(telemetry::DropReason::kClassifierMiss), 0u);
-    EXPECT_GT(count(telemetry::DropReason::kRingFull) +
-                  count(telemetry::DropReason::kPoolExhausted),
-              0u);
-    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
-      EXPECT_EQ(dp.shard_pool(s).in_use(), 0u) << "shard " << s;
-      EXPECT_EQ(dp.shard_pool(s).refcnt_underflow_total(), 0u);
-    }
+  }
+  const auto count = [&](telemetry::DropReason r) {
+    return reasons[static_cast<std::size_t>(r)];
+  };
+  EXPECT_GT(count(telemetry::DropReason::kNfVerdict), 0u);
+  EXPECT_GT(count(telemetry::DropReason::kClassifierMiss), 0u);
+  EXPECT_GT(count(telemetry::DropReason::kRingFull) +
+                count(telemetry::DropReason::kPoolExhausted),
+            0u);
+  for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+    EXPECT_EQ(dp.shard_pool(s).in_use(), 0u) << "shard " << s;
+    EXPECT_EQ(dp.shard_pool(s).refcnt_underflow_total(), 0u);
   }
 }
 
@@ -475,17 +463,14 @@ TEST(ShardedDataplane, DestroyedWithoutDrainIsClean) {
   // slots cached in every magazine. Each magazine hands its slots back to
   // a shard pool that must still be alive (ASan checks the order).
   const auto frames = make_flow_frames(2'000, 16);
-  for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
-    ShardedDataplaneOptions opts;
-    opts.shards = 2;
-    opts.pipeline.exec_mode = mode;
-    auto dp = std::make_unique<ShardedDataplane>(
-        std::vector<ServiceGraph>{header_copy_graph()},
-        ShardedDataplane::NfFactory{}, opts);
-    ASSERT_TRUE(dp->start().is_ok());
-    for (const auto& frame : frames) dp->feed({frame.data(), frame.size()});
-    dp.reset();
-  }
+  ShardedDataplaneOptions opts;
+  opts.shards = 2;
+  auto dp = std::make_unique<ShardedDataplane>(
+      std::vector<ServiceGraph>{header_copy_graph()},
+      ShardedDataplane::NfFactory{}, opts);
+  ASSERT_TRUE(dp->start().is_ok());
+  for (const auto& frame : frames) dp->feed({frame.data(), frame.size()});
+  dp.reset();
 }
 
 TEST(ShardedDataplane, SmallestPoolRunsLossless) {
@@ -495,28 +480,24 @@ TEST(ShardedDataplane, SmallestPoolRunsLossless) {
   // copy must never find the pool dry.
   const std::size_t kWaves = 4;
   const auto frames = make_flow_frames(1'000, 16);
-  for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
-    SCOPED_TRACE(exec_mode_name(mode));
-    ShardedDataplaneOptions opts;
-    opts.shards = 2;
-    opts.pipeline.exec_mode = mode;
-    opts.ingest_pool_size = 1;
-    opts.ingest_ring_depth = 4;
-    ShardedDataplane dp({header_copy_graph()}, {}, opts);
-    ASSERT_TRUE(dp.start().is_ok());
-    for (std::size_t w = 1; w <= kWaves; ++w) {
-      for (const auto& frame : frames) {
-        EXPECT_TRUE(dp.feed({frame.data(), frame.size()}));
-      }
-      wait_until_done(dp, w * frames.size());
+  ShardedDataplaneOptions opts;
+  opts.shards = 2;
+  opts.ingest_pool_size = 1;
+  opts.ingest_ring_depth = 4;
+  ShardedDataplane dp({header_copy_graph()}, {}, opts);
+  ASSERT_TRUE(dp.start().is_ok());
+  for (std::size_t w = 1; w <= kWaves; ++w) {
+    for (const auto& frame : frames) {
+      EXPECT_TRUE(dp.feed({frame.data(), frame.size()}));
     }
-    const ShardedResult res = dp.drain();
-    ASSERT_TRUE(res.status.is_ok());
-    EXPECT_EQ(res.outputs.size(), kWaves * frames.size());
-    EXPECT_EQ(res.dropped, 0u);
-    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
-      EXPECT_EQ(dp.shard_pool(s).in_use(), 0u) << "shard " << s;
-    }
+    wait_until_done(dp, w * frames.size());
+  }
+  const ShardedResult res = dp.drain();
+  ASSERT_TRUE(res.status.is_ok());
+  EXPECT_EQ(res.outputs.size(), kWaves * frames.size());
+  EXPECT_EQ(res.dropped, 0u);
+  for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+    EXPECT_EQ(dp.shard_pool(s).in_use(), 0u) << "shard " << s;
   }
 }
 
@@ -528,32 +509,28 @@ TEST(ShardedDataplane, ShaperRefillsFromLiveArrivalTimes) {
   // marks nothing and a policing one delivers every frame.
   const auto frames = make_flow_frames(4'096, 64, 64);
   for (const bool policing : {false, true}) {
-    for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
-      SCOPED_TRACE(std::string(exec_mode_name(mode)) +
-                   (policing ? " policing" : " marking"));
-      std::vector<const TrafficShaper*> shapers;
-      const auto factory =
-          [&](const StageNf&) -> std::unique_ptr<NetworkFunction> {
-        auto shaper = std::make_unique<TrafficShaper>(1'250'000'000,
-                                                      64 * 1024, policing);
-        shapers.push_back(shaper.get());
-        return shaper;
-      };
-      ShardedDataplaneOptions opts;
-      opts.shards = 2;
-      opts.pipeline.exec_mode = mode;
-      ShardedDataplane dp({compile_chain({"shaper"})}, factory, opts);
-      const ShardedResult res = dp.run(frames);
-      ASSERT_TRUE(res.status.is_ok());
-      EXPECT_EQ(res.outputs.size(), frames.size());
-      EXPECT_EQ(res.dropped, 0u);
-      ASSERT_EQ(shapers.size(), dp.shard_count());
-      u64 out_of_profile = 0;
-      for (const TrafficShaper* shaper : shapers) {
-        out_of_profile += shaper->out_of_profile();
-      }
-      EXPECT_EQ(out_of_profile, 0u);
+    SCOPED_TRACE(policing ? "policing" : "marking");
+    std::vector<const TrafficShaper*> shapers;
+    const auto factory =
+        [&](const StageNf&) -> std::unique_ptr<NetworkFunction> {
+      auto shaper = std::make_unique<TrafficShaper>(1'250'000'000,
+                                                    64 * 1024, policing);
+      shapers.push_back(shaper.get());
+      return shaper;
+    };
+    ShardedDataplaneOptions opts;
+    opts.shards = 2;
+    ShardedDataplane dp({compile_chain({"shaper"})}, factory, opts);
+    const ShardedResult res = dp.run(frames);
+    ASSERT_TRUE(res.status.is_ok());
+    EXPECT_EQ(res.outputs.size(), frames.size());
+    EXPECT_EQ(res.dropped, 0u);
+    ASSERT_EQ(shapers.size(), dp.shard_count());
+    u64 out_of_profile = 0;
+    for (const TrafficShaper* shaper : shapers) {
+      out_of_profile += shaper->out_of_profile();
     }
+    EXPECT_EQ(out_of_profile, 0u);
   }
 }
 
@@ -593,45 +570,36 @@ std::vector<std::vector<u8>> valid_frames(
 TEST(ShardedDataplane, RefusesOversizeFrameAsMalformedDrop) {
   std::size_t oversize = 0;
   const auto frames = frames_with_one_oversize(&oversize);
-  for (const ExecMode mode : {ExecMode::kRtc, ExecMode::kPipelined}) {
-    SCOPED_TRACE(exec_mode_name(mode));
-    ShardedDataplaneOptions opts;
-    opts.shards = 2;
-    opts.pipeline.exec_mode = mode;
-    ShardedDataplane dp(
-        {ServiceGraph::sequential("mon", {"monitor", "monitor"})}, {}, opts);
-    expect_oversize_refused(dp, frames, oversize);
-    u64 malformed = 0;
-    for (std::size_t s = 0; s < dp.shard_count(); ++s) {
-      malformed += dp.flow_snapshot(s).drops[static_cast<std::size_t>(
-          telemetry::DropReason::kMalformed)];
-    }
-    const ShardedResult res = dp.drain();
-    ASSERT_TRUE(res.status.is_ok());
-    EXPECT_EQ(malformed, 1u);
-    EXPECT_EQ(res.dropped, 1u);
-    EXPECT_EQ(test_support::sorted_frames(res.outputs),
-              valid_frames(frames, oversize));
+  ShardedDataplaneOptions opts;
+  opts.shards = 2;
+  ShardedDataplane dp(
+      {ServiceGraph::sequential("mon", {"monitor", "monitor"})}, {}, opts);
+  expect_oversize_refused(dp, frames, oversize);
+  u64 malformed = 0;
+  for (std::size_t s = 0; s < dp.shard_count(); ++s) {
+    malformed += dp.flow_snapshot(s).drops[static_cast<std::size_t>(
+        telemetry::DropReason::kMalformed)];
   }
+  const ShardedResult res = dp.drain();
+  ASSERT_TRUE(res.status.is_ok());
+  EXPECT_EQ(malformed, 1u);
+  EXPECT_EQ(res.dropped, 1u);
+  EXPECT_EQ(test_support::sorted_frames(res.outputs),
+            valid_frames(frames, oversize));
 }
 
 TEST(LivePipeline, RefusesOversizeFrameAsMalformedDrop) {
   std::size_t oversize = 0;
   const auto frames = frames_with_one_oversize(&oversize);
-  for (const ExecMode mode : {ExecMode::kRtc, ExecMode::kPipelined}) {
-    SCOPED_TRACE(exec_mode_name(mode));
-    LivePipelineOptions opts;
-    opts.exec_mode = mode;
-    LivePipeline pipe(ServiceGraph::sequential("mon", {"monitor", "monitor"}),
-                      {}, opts);
-    expect_oversize_refused(pipe, frames, oversize);
-    const LiveResult res = pipe.drain();
-    ASSERT_TRUE(res.status.is_ok());
-    EXPECT_EQ(pipe.dropped_by(telemetry::DropReason::kMalformed), 1u);
-    EXPECT_EQ(res.dropped, 1u);
-    EXPECT_EQ(test_support::sorted_frames(res.outputs),
-              valid_frames(frames, oversize));
-  }
+  LivePipeline pipe(
+      ServiceGraph::sequential("mon", {"monitor", "monitor"}));
+  expect_oversize_refused(pipe, frames, oversize);
+  const LiveResult res = pipe.drain();
+  ASSERT_TRUE(res.status.is_ok());
+  EXPECT_EQ(pipe.dropped_by(telemetry::DropReason::kMalformed), 1u);
+  EXPECT_EQ(res.dropped, 1u);
+  EXPECT_EQ(test_support::sorted_frames(res.outputs),
+            valid_frames(frames, oversize));
 }
 
 }  // namespace

@@ -1,19 +1,30 @@
-// Cross-executor differential test (the paper's §6.4 check, generalized):
+// Cross-plane differential test (the paper's §6.4 check, generalized):
 // random policies compile into NFP graphs, and one seeded frame set runs
-// through four plans —
+// through three plans —
 //   1. the graph flattened into a sequential chain on the simulated plane,
 //      the §6.4 reference (segments in order, NFs in declaration order, so
 //      every NF keeps its instance id and with it its seeded state);
 //   2. the compiled graph on the simulated plane;
-//   3. the compiled graph on the pipelined live executor;
-//   4. the compiled graph on the rtc live executor.
+//   3. the compiled graph on the live pipeline.
 // Every plan must deliver the same multiset of frames, in the same order
-// within each flow, and drop the same number of packets; pipelined and
-// rtc must also agree on the drop totals per reason.
+// within each flow, and drop the same number of packets; every live drop
+// must carry the nf_verdict reason.
+//
+// ExecutorDifferential draws order and position rules. Its priority twin,
+// ExecutorDifferentialPriority, also draws priority(a > b) rules over a
+// universe with a firewall and an ips whose signatures match a quarter of
+// the frames, so the merge's priority drop resolution decides real
+// conflicts. A priority rule forces parallelism that dependency analysis
+// would refuse: two droppers resolve by priority rather than in chain
+// order, an NF sees packets its sibling drops (nat ports and vpn sequence
+// numbers move), and a writer's copy misses its sibling's write (vpn's ICV
+// covers the header before lb rewrites it). So a graph with a priority
+// segment is checked against its own compiled graph on the simulated
+// plane instead of the flat chain.
 //
 // NFs come from PairEquivalence's set minus the shaper: its token bucket
 // reads inject_time, which is simulated time on the simulator and wall
-// clock on the live planes, so its verdicts differ between planes by
+// clock on the live plane, so its verdicts differ between planes by
 // design.
 #include <gtest/gtest.h>
 
@@ -25,6 +36,7 @@
 #include "../support/sorted_frames.hpp"
 #include "dataplane/live_classifier.hpp"
 #include "nfs/firewall.hpp"
+#include "nfs/ids.hpp"
 #include "orch/compiler.hpp"
 #include "packet/builder.hpp"
 
@@ -40,8 +52,19 @@ const std::vector<std::string>& nf_universe() {
   return kNfs;
 }
 
+// Both droppers plus the NFs whose state depends on the packets they see
+// (nat ports, vpn sequence numbers), so a priority segment that lets an
+// NF see a packet its sibling drops shows in the output.
+const std::vector<std::string>& priority_universe() {
+  static const std::vector<std::string> kNfs = {"firewall", "ips", "monitor",
+                                                "lb",       "nat", "vpn"};
+  return kNfs;
+}
+
 // Built-in NFs seeded by instance id (the dataplanes' default), except a
-// firewall that drops dst ports 80-81, so drop resolution sees real drops.
+// firewall that drops dst ports 80-81 and an ips that drops frames whose
+// payload byte is a multiple of 4 (make_frames fills each payload with
+// one random byte), so drop resolution sees real drops.
 std::unique_ptr<NetworkFunction> make_nf(const StageNf& nf) {
   if (nf.name == "firewall") {
     AclTable acl;
@@ -52,7 +75,21 @@ std::unique_ptr<NetworkFunction> make_nf(const StageNf& nf) {
     acl.add(rule);
     return std::make_unique<Firewall>(std::move(acl));
   }
+  if (nf.name == "ips") {
+    std::vector<std::string> signatures;
+    for (int b = 0; b < 256; b += 4) {
+      signatures.emplace_back(8, static_cast<char>(b));
+    }
+    return std::make_unique<Ips>(signatures);
+  }
   return make_builtin_nf(nf.name, static_cast<u64>(nf.instance_id) + 1);
+}
+
+bool has_priority_segment(const ServiceGraph& graph) {
+  for (const Segment& seg : graph.segments()) {
+    if (seg.merge.drop_resolution == DropResolution::kPriority) return true;
+  }
+  return false;
 }
 
 std::vector<std::vector<u8>> make_frames(Rng& rng, std::size_t count) {
@@ -101,12 +138,15 @@ void expect_same(const PlaneRun& ref, const PlaneRun& run, const char* plan) {
   EXPECT_TRUE(per_flow(ref) == per_flow(run)) << plan << ": per-flow order";
 }
 
-class ExecutorDifferential : public ::testing::TestWithParam<int> {};
-
-TEST_P(ExecutorDifferential, RandomPolicyMatchesSequentialChain) {
-  Rng rng(static_cast<u64>(GetParam()) * 104'729 + 7);
+// Runs the policy drawn from `seed` on every plan and compares each with
+// the reference: the flat chain, or the compiled graph on the simulated
+// plane where a priority rule forced a parallel segment.
+void check_random_policy(int seed, const std::vector<std::string>& universe,
+                         bool priority_rules) {
+  Rng rng(static_cast<u64>(seed) * 104'729 + 7);
   const ActionTable table = ActionTable::with_builtin_nfs();
-  const Policy policy = test_support::random_policy(rng, nf_universe());
+  const Policy policy =
+      test_support::random_policy(rng, universe, priority_rules);
   auto compiled = compile_policy(policy, table);
   ASSERT_TRUE(compiled.is_ok()) << compiled.error() << "\n"
                                 << policy.to_string();
@@ -121,20 +161,39 @@ TEST_P(ExecutorDifferential, RandomPolicyMatchesSequentialChain) {
 
   using test_support::run_live;
   using test_support::run_simulated;
-  const PlaneRun reference = run_simulated(
-      ServiceGraph::sequential("flat", chain), frames, make_nf);
   const PlaneRun simulated = run_simulated(graph, frames, make_nf);
-  const PlaneRun pipelined =
-      run_live(graph, frames, ExecMode::kPipelined, make_nf);
-  const PlaneRun rtc = run_live(graph, frames, ExecMode::kRtc, make_nf);
+  const PlaneRun live = run_live(graph, frames, make_nf);
+  if (has_priority_segment(graph)) {
+    expect_same(simulated, live, "live vs simulated graph");
+  } else {
+    const PlaneRun reference = run_simulated(
+        ServiceGraph::sequential("flat", chain), frames, make_nf);
+    expect_same(reference, simulated, "simulated");
+    expect_same(reference, live, "live");
+  }
+  const auto nf_verdict =
+      static_cast<std::size_t>(telemetry::DropReason::kNfVerdict);
+  EXPECT_EQ(live.by_reason[nf_verdict], live.dropped)
+      << "every live drop is an NF verdict";
+}
 
-  expect_same(reference, simulated, "simulated");
-  expect_same(reference, pipelined, "pipelined");
-  expect_same(reference, rtc, "rtc");
-  EXPECT_EQ(pipelined.by_reason, rtc.by_reason) << "drops per reason";
+class ExecutorDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExecutorDifferential, RandomPolicyMatchesSequentialChain) {
+  check_random_policy(GetParam(), nf_universe(), /*priority_rules=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorDifferential, ::testing::Range(0, 40));
+
+class ExecutorDifferentialPriority : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExecutorDifferentialPriority, RandomPolicyMatchesReference) {
+  check_random_policy(GetParam(), priority_universe(),
+                      /*priority_rules=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(PrioritySeeds, ExecutorDifferentialPriority,
+                         ::testing::Range(0, 40));
 
 }  // namespace
 }  // namespace nfp

@@ -172,8 +172,8 @@ TEST_F(CompilerTest, PayloadWriterSharesItsVersionWithNoOne) {
   // Compression rewrites only the payload and the firewall reads only
   // headers, so they parallelize — but a payload rewrite may resize the
   // packet under the firewall's parse, so the firewall takes a header copy
-  // instead of sharing version 1 (the pipelined plane runs them on two
-  // threads).
+  // instead of sharing version 1 (in the paper's deployment they run on
+  // two cores at once).
   const ServiceGraph g = compile("policy pw\nchain(compression, firewall)");
   ASSERT_EQ(g.equivalent_length(), 1u) << g.to_string();
   const Segment& seg = g.segments()[0];

@@ -1,5 +1,5 @@
 // One frame set through one compiled graph on one plane: the simulated
-// NfpDataplane or a live LivePipeline in either execution mode. Shared by
+// NfpDataplane or the live LivePipeline. Shared by
 // the tests that compare planes (e2e/differential_test.cpp,
 // dataplane/drop_resolution_test.cpp); every run also checks that no
 // packet reference leaked, and a live run that its per-reason drop
@@ -57,11 +57,8 @@ inline PlaneRun run_simulated(ServiceGraph graph,
 
 inline PlaneRun run_live(const ServiceGraph& graph,
                          const std::vector<std::vector<u8>>& frames,
-                         ExecMode mode, const NfFactory& factory) {
-  SCOPED_TRACE(exec_mode_name(mode));
-  LivePipelineOptions opts;
-  opts.exec_mode = mode;
-  LivePipeline pipe(ServiceGraph(graph), factory, opts);
+                         const NfFactory& factory) {
+  LivePipeline pipe(ServiceGraph(graph), factory);
   LiveResult result = pipe.run(frames);
   EXPECT_TRUE(result.status.is_ok());
   EXPECT_EQ(pipe.refcnt_underflows(), 0u);

@@ -441,35 +441,31 @@ TEST(FlowObservatoryTest, InducedPoolExhaustedDropsCarryReason) {
   // the mid-fanout case is induced on a standalone pipeline's own pool.
   const auto frames =
       frames_for_sequence(interleaved_flow_sequence(zipf_counts(16, 400)));
-  for (const ExecMode mode : {ExecMode::kPipelined, ExecMode::kRtc}) {
-    SCOPED_TRACE(exec_mode_name(mode));
-    LivePipelineOptions opts;
-    opts.exec_mode = mode;
-    opts.pool_size = 3;
-    opts.magazine_size = 0;  // no per-thread caching of the 3 slots
-    LivePipeline pipe(
-        ServiceGraph::parallel("par4",
-                               {"monitor", "monitor", "monitor", "monitor"},
-                               {1, 2, 3, 4}),
-        {}, opts);
-    DropExemplarRing exemplars;
-    pipe.set_drop_exemplar_ring(&exemplars);
-    const LiveResult res = pipe.run(frames);
-    ASSERT_TRUE(res.status.is_ok());
+  LivePipelineOptions opts;
+  opts.pool_size = 3;
+  opts.magazine_size = 0;  // no per-thread caching of the 3 slots
+  LivePipeline pipe(
+      ServiceGraph::parallel("par4",
+                             {"monitor", "monitor", "monitor", "monitor"},
+                             {1, 2, 3, 4}),
+      {}, opts);
+  DropExemplarRing exemplars;
+  pipe.set_drop_exemplar_ring(&exemplars);
+  const LiveResult res = pipe.run(frames);
+  ASSERT_TRUE(res.status.is_ok());
 
-    EXPECT_TRUE(res.outputs.empty());
-    EXPECT_EQ(res.dropped, frames.size());
-    EXPECT_EQ(pipe.dropped_by(DropReason::kPoolExhausted), frames.size());
-    u64 by_reason = 0;
-    for (std::size_t r = 0; r < kDropReasonCount; ++r) {
-      by_reason += pipe.dropped_by(static_cast<DropReason>(r));
-    }
-    EXPECT_EQ(by_reason, res.dropped) << "a drop escaped the reason taxonomy";
-    const auto sampled = exemplars.snapshot();
-    ASSERT_FALSE(sampled.empty());
-    EXPECT_EQ(sampled.back().reason, DropReason::kPoolExhausted);
-    EXPECT_EQ(pipe.pool_in_use(), 0u) << "fanout rollback leaked a slot";
+  EXPECT_TRUE(res.outputs.empty());
+  EXPECT_EQ(res.dropped, frames.size());
+  EXPECT_EQ(pipe.dropped_by(DropReason::kPoolExhausted), frames.size());
+  u64 by_reason = 0;
+  for (std::size_t r = 0; r < kDropReasonCount; ++r) {
+    by_reason += pipe.dropped_by(static_cast<DropReason>(r));
   }
+  EXPECT_EQ(by_reason, res.dropped) << "a drop escaped the reason taxonomy";
+  const auto sampled = exemplars.snapshot();
+  ASSERT_FALSE(sampled.empty());
+  EXPECT_EQ(sampled.back().reason, DropReason::kPoolExhausted);
+  EXPECT_EQ(pipe.pool_in_use(), 0u) << "fanout rollback leaked a slot";
 }
 
 TEST(FlowObservatoryTest, ClassifierDropRuleCountsClassifierMiss) {

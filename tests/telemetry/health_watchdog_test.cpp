@@ -1,15 +1,15 @@
 // Tests for the live-health layer: the flight recorder's bounded window,
 // the watchdog's deterministic anomaly rules (injectable clock), the
-// sampler's probe recording, and the end-to-end promise — a wedged
-// live-pipeline worker produces exactly one post-mortem dump containing
-// the stall event and a registry snapshot.
+// sampler's probe recording, and the end-to-end promise — a shard worker
+// wedged inside an NF produces a post-mortem dump containing the stall
+// event and a registry snapshot.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 
-#include "dataplane/live_pipeline.hpp"
+#include "dataplane/sharded_dataplane.hpp"
 #include "packet/builder.hpp"
 #include "telemetry/health_sampler.hpp"
 
@@ -194,8 +194,8 @@ TEST(HealthSampler, BackgroundThreadTicksUntilStopped) {
 }
 
 // An NF that wedges inside process() on the first packet until released —
-// the worker's heartbeat goes stale while the thread is alive, which is
-// exactly the failure mode the watchdog exists to catch.
+// the shard worker's heartbeat goes stale while the thread is alive, which
+// is exactly the failure mode the watchdog exists to catch.
 class WedgingNf final : public NetworkFunction {
  public:
   explicit WedgingNf(std::atomic<bool>& release) : release_(release) {}
@@ -217,12 +217,17 @@ class WedgingNf final : public NetworkFunction {
   std::atomic<bool>& release_;
 };
 
+// The worker runs the NF inline, so the stalled heartbeat is the shard's
+// (shard0/ingest): the dump names the shard, not the NF.
 TEST(HealthWatchdog, WedgedLiveWorkerProducesPostMortemDump) {
   std::atomic<bool> release{false};
-  LivePipeline pipe(ServiceGraph::sequential("seq", {"monitor"}),
-                    [&](const StageNf&) -> std::unique_ptr<NetworkFunction> {
-                      return std::make_unique<WedgingNf>(release);
-                    });
+  ShardedDataplaneOptions opts;
+  opts.shards = 1;
+  ShardedDataplane dp({ServiceGraph::sequential("seq", {"monitor"})},
+                      [&](const StageNf&) -> std::unique_ptr<NetworkFunction> {
+                        return std::make_unique<WedgingNf>(release);
+                      },
+                      opts);
 
   MetricsRegistry registry;
   FlightRecorder rec;
@@ -236,20 +241,20 @@ TEST(HealthWatchdog, WedgedLiveWorkerProducesPostMortemDump) {
   HealthSampler::Options s_opt;
   s_opt.period_us = 2'000;
   HealthSampler sampler(registry, s_opt);
-  pipe.register_health(sampler, &wd);
+  dp.register_health(sampler, &wd);
   sampler.set_watchdog(&wd);
   sampler.start();
 
-  std::vector<std::vector<u8>> frames;
+  std::vector<u8> frame;
   {
     PacketPool scratch(4);
     PacketSpec spec;
     Packet* p = build_packet(scratch, spec);
-    frames.emplace_back(p->data(), p->data() + p->length());
+    frame.assign(p->data(), p->data() + p->length());
     scratch.release(p);
   }
-  LiveResult result;
-  std::thread runner([&] { result = pipe.run(frames); });
+  ASSERT_TRUE(dp.start().is_ok());
+  ASSERT_TRUE(dp.feed({frame.data(), frame.size()}));
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
@@ -258,7 +263,7 @@ TEST(HealthWatchdog, WedgedLiveWorkerProducesPostMortemDump) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   release.store(true, std::memory_order_release);
-  runner.join();
+  const ShardedResult result = dp.drain();
   sampler.stop();
 
   ASSERT_GE(wd.anomalies(), 1u) << "watchdog never noticed the wedged worker";
@@ -266,11 +271,12 @@ TEST(HealthWatchdog, WedgedLiveWorkerProducesPostMortemDump) {
   const std::string dump = wd.last_dump();
   EXPECT_NE(dump.find("flight recorder post-mortem"), std::string::npos);
   EXPECT_NE(dump.find("worker stalled"), std::string::npos);
-  EXPECT_NE(dump.find("nf:monitor#0"), std::string::npos);
+  EXPECT_NE(dump.find("shard0/ingest"), std::string::npos);
   EXPECT_NE(dump.find("registry snapshot:"), std::string::npos);
   // The sampler's probes made it into the snapshot.
-  EXPECT_NE(dump.find("worker_heartbeat_ns"), std::string::npos);
-  // Once released, the packet flows through and the pipeline completes.
+  EXPECT_NE(dump.find("shard_rx_total"), std::string::npos);
+  // Once released, the packet flows through and the plane drains.
+  ASSERT_TRUE(result.status.is_ok());
   EXPECT_EQ(result.outputs.size(), 1u);
   EXPECT_EQ(result.dropped, 0u);
 }

@@ -71,7 +71,6 @@ void wait_until_done(ShardedDataplane& dp, std::size_t expected) {
 std::unique_ptr<ShardedDataplane> make_two_graph_plane() {
   ShardedDataplaneOptions opts;
   opts.shards = 2;
-  opts.pipeline.exec_mode = ExecMode::kRtc;
   opts.pipeline.latency_sample_every = 1;
   std::vector<ServiceGraph> graphs;
   graphs.push_back(ServiceGraph::sequential("chain", {"monitor", "lb"}));

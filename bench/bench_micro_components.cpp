@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) of the real data-structure hot paths
 // backing the simulated dataplane: rings, pool, header/full copies, LPM,
-// ACL, live egress collection, AES, checksums, merging and policy
-// compilation. These measure the actual C++ implementations on this host
-// (not simulated time).
+// ACL, live egress collection, shard flow accounting, AES, checksums,
+// merging and policy compilation. These measure the actual C++
+// implementations on this host (not simulated time).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "packet/packet_pool.hpp"
 #include "common/rng.hpp"
 #include "policy/parser.hpp"
+#include "telemetry/flow_observatory.hpp"
 #include "ring/spsc_ring.hpp"
 
 namespace nfp {
@@ -185,6 +188,77 @@ void BM_EgressPerFrameVectors(benchmark::State& state) {
                           static_cast<i64>(kEgressFrames));
 }
 BENCHMARK(BM_EgressPerFrameVectors)->Arg(64)->Arg(724);
+
+// Flow accounting on a shard worker: the FlowAccumulator and the shard's
+// ShardFlowAccountant over a pre-generated stream of flow refs, flushed
+// where the worker flushes (a full probe run inside add(), the
+// kFlushPackets backstop), in ns per packet. The flows are the ones the
+// director sends to shard 0 (hash % shards == 0). uniform341 is an
+// ns-small shard's ~341 uniform flows: epochs end at the backstop and
+// fold 341 samples. zipf10k is a ct-churn shard's 10k zipf-0.8 flows: a
+// probe run fills about every 29k packets, and nearly all of the ~7k
+// samples each such fold takes displace the Space-Saving minimum. single
+// folds after every packet, each a new flow into a full table: what every
+// idle-streak flush of a paced workload costs.
+struct FoldMix {
+  std::size_t flows = 0;
+  double zipf_s = 0;  // 0: uniform
+  std::size_t shards = 1;
+  bool fold_each = false;
+};
+
+constexpr std::size_t kFoldStream = std::size_t{1} << 18;
+
+std::vector<FlowRef> fold_stream(const FoldMix& mix) {
+  std::vector<FlowRef> flows;
+  for (u32 id = 0; flows.size() < mix.flows; ++id) {
+    FlowRef f;
+    f.tuple = {0x0A000000u + id, 0xC0A80000u + (id % 251),
+               static_cast<u16>(1024 + id % 50'000), 443, 6};
+    f.hash = hash_five_tuple(f.tuple);
+    f.valid = true;
+    if (f.hash % mix.shards == 0) flows.push_back(f);
+  }
+  std::vector<double> cdf(flows.size());
+  double total = 0;
+  for (std::size_t k = 0; k < cdf.size(); ++k) {
+    total += std::pow(static_cast<double>(k + 1), -mix.zipf_s);
+    cdf[k] = total;
+  }
+  Rng rng(7);
+  std::vector<FlowRef> stream(kFoldStream);
+  for (FlowRef& ref : stream) {
+    const auto it =
+        std::lower_bound(cdf.begin(), cdf.end(), rng.uniform() * total);
+    const auto rank = static_cast<std::size_t>(it - cdf.begin());
+    ref = flows[std::min(rank, flows.size() - 1)];
+  }
+  return stream;
+}
+
+void BM_FlowFold(benchmark::State& state, FoldMix mix) {
+  const std::vector<FlowRef> stream = fold_stream(mix);
+  telemetry::ShardFlowAccountant acct(128, 1);
+  telemetry::FlowAccumulator acc;
+  std::size_t i = 0;
+  const auto step = [&] {
+    acc.add(stream[i], 64, 0, acct);
+    if (mix.fold_each ||
+        acc.pending() >= telemetry::FlowAccumulator::kFlushPackets) {
+      acc.flush(acct);
+    }
+    i = (i + 1) & (kFoldStream - 1);
+  };
+  for (std::size_t w = 0; w < kFoldStream; ++w) step();  // fill the table
+  for (auto _ : state) {
+    step();
+    benchmark::DoNotOptimize(acc.pending());
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_FlowFold, uniform341, FoldMix{341, 0.0, 3, false});
+BENCHMARK_CAPTURE(BM_FlowFold, zipf10k, FoldMix{10'000, 0.8, 2, false});
+BENCHMARK_CAPTURE(BM_FlowFold, single, FoldMix{65'536, 0.0, 1, true});
 
 void BM_AesEncryptBlock(benchmark::State& state) {
   Aes128 aes(Aes128::Key{0x2b});

@@ -420,7 +420,12 @@ int main(int argc, char** argv) {
                   json);
   }
 
-  // The 61x7-port frame mix gives the sketches flow churn.
+  // The 61x7-port frame mix is 427 flows on one shard: more than the
+  // Space-Saving table's 128 entries, so folds displace entries, but too
+  // few to fill an accumulator probe run, so an epoch ends only at an idle
+  // streak, the 64Ki-packet backstop or stop. This pair cannot see the
+  // probe-overflow folds of a shard with ~10k flows (perfbench ct-churn);
+  // bench_micro_components' BM_FlowFold/zipf10k measures those.
   const ServiceGraph flow_graph =
       ServiceGraph::sequential("flow", {"monitor", "lb"});
   ShardedDataplaneOptions flow_off = one_shard;

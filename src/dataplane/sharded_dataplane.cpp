@@ -24,86 +24,6 @@ std::size_t ingest_burst(const ShardedDataplaneOptions& options) {
   return std::min(kIngestBurst, options.ingest_ring_depth);
 }
 
-// Worker-private flow-sample accumulator: collapses same-flow packets
-// across bursts into one FlowSample per (flow, graph) via a small
-// open-addressed table, then folds the whole epoch into the shard's
-// accountant under one mutex acquisition. Amortizing across bursts (not
-// just within one) is what keeps the sketch cost off the hot path: a
-// mouse-heavy mix would otherwise pay one Space-Saving replacement per
-// packet; per-epoch it pays one per distinct flow per epoch. The flush
-// policy in worker_loop keeps epochs off the critical path: fold during
-// idle streaks (time the worker would spend starved anyway) and on stop,
-// with kFlushPackets as the staleness backstop under sustained
-// saturation.
-struct FlowAccumulator {
-  // Sized so a few thousand concurrent flows stay under ~50% load: at high
-  // load linear probing overflows kMaxProbe constantly and every overflow
-  // forces a premature full flush — the table must comfortably hold one
-  // epoch's working set, not just fit in L1.
-  static constexpr std::size_t kSlots = 4096;  // power of two
-  static constexpr std::size_t kMask = kSlots - 1;
-  static constexpr std::size_t kMaxProbe = 16;
-  // Staleness bound under *sustained* saturation, not the normal flush
-  // trigger: almost all flushes should ride the idle-streak path in
-  // worker_loop, where the fold overlaps time the worker would spend
-  // starved anyway. Folding mid-saturation instead adds the whole epoch's
-  // sketch work to the critical path, which is exactly what the
-  // flow32-acct/noacct gate caught. 64Ki packets is ~40 ms at 1.5 Mpps —
-  // still well inside the probe cache's 200 ms refresh.
-  static constexpr u64 kFlushPackets = 64 * 1024;
-
-  // One cache line per slot: a probe hit reads and writes exactly one
-  // line instead of straddling two at FlowSample's natural size.
-  struct alignas(64) Slot {
-    telemetry::FlowSample s;
-  };
-
-  std::vector<Slot> slots{kSlots};
-  std::vector<u32> used;
-  std::vector<telemetry::FlowSample> scratch;
-  u64 pending = 0;
-
-  // False when the probe cluster is full — caller flushes and retries.
-  bool add(const FlowRef& flow, std::size_t bytes, u32 graph) {
-    std::size_t idx = static_cast<std::size_t>(flow.hash) & kMask;
-    for (std::size_t probe = 0; probe < kMaxProbe;
-         ++probe, idx = (idx + 1) & kMask) {
-      telemetry::FlowSample& s = slots[idx].s;
-      if (s.packets == 0) {
-        s.tuple = flow.tuple;
-        s.hash = flow.hash;
-        s.graph = graph;
-        s.packets = 1;
-        s.bytes = bytes;
-        s.tuple_valid = flow.valid;
-        used.push_back(static_cast<u32>(idx));
-        ++pending;
-        return true;
-      }
-      if (s.hash == flow.hash && s.graph == graph) {
-        ++s.packets;
-        s.bytes += bytes;
-        ++pending;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void flush(telemetry::ShardFlowAccountant& acct) {
-    if (used.empty()) return;
-    scratch.clear();
-    scratch.reserve(used.size());
-    for (const u32 idx : used) {
-      scratch.push_back(slots[idx].s);
-      slots[idx].s.packets = 0;
-    }
-    used.clear();
-    pending = 0;
-    acct.record_burst(std::span<const telemetry::FlowSample>(scratch));
-  }
-};
-
 // The director's flow identity for `frame`: one parse and one hash, which
 // drive shard selection, latency sampling, classification and the flow
 // observatory's keys. Non-IP frames hash a default tuple: one consistent
@@ -306,14 +226,14 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
   // Takes the slots of frames a CT drop rule scrubs; every other frame's
   // slot passes to its pipeline.
   PacketMagazine mag(*sh.pool, opts_.pipeline.magazine_size);
-  // Epoch-amortized flow accounting (see FlowAccumulator above). An idle
+  // Epoch-amortized flow accounting (telemetry::FlowAccumulator). An idle
   // flush needs this many consecutive empty polls: enough that the
   // sub-microsecond gaps of a director that merely trickles rarely
   // complete a streak, few enough to stay inside Backoff's spin/pause
   // tiers — once it escalates to yields, a loaded host can stall the
   // streak (and with it scrape freshness) for whole scheduler quanta.
   constexpr std::size_t kIdleFlushStreak = 20;
-  FlowAccumulator acc;
+  telemetry::FlowAccumulator acc;
   std::size_t empty_streak = 0;
   Backoff idle;
 
@@ -338,7 +258,7 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
       // would shrink the accounting epoch to a handful of packets.
       const bool stopping = ingest_stop_.load(std::memory_order_acquire) &&
                             sh.ring->size() == 0;
-      if (acc.pending != 0 &&
+      if (acc.pending() != 0 &&
           (stopping || ++empty_streak >= kIdleFlushStreak)) {
         acc.flush(*sh.flows);
         empty_streak = 0;
@@ -372,19 +292,15 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
         // the attacker flow that the drop rule is absorbing.
         sh.flows->record_drop(telemetry::DropReason::kClassifierMiss,
                               "classifier", &flow, telemetry::mono_now_ns());
-        if (opts_.flow_accounting &&
-            !acc.add(flow, desc.len, telemetry::FlowSample::kNoGraph)) {
-          acc.flush(*sh.flows);
-          acc.add(flow, desc.len, telemetry::FlowSample::kNoGraph);
+        if (opts_.flow_accounting) {
+          acc.add(flow, desc.len, telemetry::FlowSample::kNoGraph, *sh.flows);
         }
         mag.release(pkt);
         continue;
       }
       sh.graph_counts[g]->increment();
-      if (opts_.flow_accounting &&
-          !acc.add(flow, desc.len, static_cast<u32>(g))) {
-        acc.flush(*sh.flows);
-        acc.add(flow, desc.len, static_cast<u32>(g));
+      if (opts_.flow_accounting) {
+        acc.add(flow, desc.len, static_cast<u32>(g), *sh.flows);
       }
       // The pipeline now owns the slot (it may already be recycled when
       // feed_packet returns), so `flow` above is the descriptor's copy. The
@@ -392,12 +308,15 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
       // unsampled, with no pid fallback.
       sh.pipelines[g]->feed_packet(pkt);
     }
-    // Flush only when the epoch is full; the n == 0 branch above publishes
-    // the moment the ring runs dry. A partial burst (n < burst.size()) is
-    // NOT a flush trigger: when the director merely trickles, the very
-    // next pop returns 0 and flushes anyway, and flushing every partial
-    // burst would pay a heap build per handful of packets.
-    if (acc.pending >= FlowAccumulator::kFlushPackets) acc.flush(*sh.flows);
+    // The staleness backstop; a full probe run flushes inside add(), and
+    // the n == 0 branch above publishes once the ring stays dry. A partial
+    // burst (n < burst.size()) is NOT a flush trigger: when the director
+    // merely trickles, the next pops return 0 and flush anyway, and
+    // flushing every partial burst would take the accountant's lock per
+    // handful of packets.
+    if (acc.pending() >= telemetry::FlowAccumulator::kFlushPackets) {
+      acc.flush(*sh.flows);
+    }
     beat = telemetry::mono_now_ns();
     // busy_ns now spans the whole busy iteration (pop included — it is
     // work); the same interval feeds the useful bucket.

@@ -84,8 +84,10 @@ struct ShardedDataplaneOptions {
   std::size_t ingest_ring_depth = 1024;
   std::size_t ingest_pool_size = 2048;
   // Flow observatory recording (heavy hitters, churn, per-graph traffic).
-  // On by default like cycle_accounting: the per-burst amortized cost is
-  // gated at 5% by bench_shard_scaling's sharded/flow32-acct/noacct pair.
+  // On by default like cycle_accounting. bench_shard_scaling's
+  // sharded/flow32-acct/noacct pair gates its cost at 5% on 427 flows;
+  // BM_FlowFold/zipf10k measures it at ~10k flows per shard
+  // (telemetry/flow_observatory.hpp, FlowAccumulator).
   // Drop-reason counting is NOT gated by this — drops always carry a
   // reason; this only disables the per-burst sketch updates.
   bool flow_accounting = true;

@@ -542,6 +542,32 @@ Result<ServiceGraph> compile_policy(const Policy& policy,
 
   for (const auto& nf : lasts) emit_single(nf);
 
+  // A Priority rule is enforced by the merge of the segment its two NFs
+  // share. Segmenting can still put them apart (the levels follow every
+  // other pair's constraints), and then the NFs simply run one after the
+  // other: say so, naming both segments.
+  const auto segment_of = [&](const std::string& nf) {
+    const auto& segs = graph.segments();
+    for (std::size_t s = 0; s < segs.size(); ++s) {
+      for (const StageNf& member : segs[s].nfs) {
+        if (member.name == nf) return s;
+      }
+    }
+    return segs.size();
+  };
+  for (const Rule& rule : policy.rules()) {
+    const PriorityRule* p = std::get_if<PriorityRule>(&rule);
+    if (p == nullptr) continue;
+    const std::size_t high = segment_of(p->high);
+    const std::size_t low = segment_of(p->low);
+    if (high == low) continue;
+    rep.warnings.push_back(
+        "rule " + rule_to_string(rule) + " spans two segments: '" + p->high +
+        "' runs in segment [" + std::to_string(high) + "], '" + p->low +
+        "' in segment [" + std::to_string(low) +
+        "]; they run in sequence and the priority does not apply");
+  }
+
   return graph;
 }
 

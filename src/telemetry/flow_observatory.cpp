@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/json.hpp"
 
@@ -45,62 +46,21 @@ const char* drop_reason_name(DropReason r) noexcept {
 // ---------------------------------------------------------------------------
 // Space-Saving.
 
-namespace {
-// Min-heap order over counts.
-constexpr auto kHeapGreater = [](const auto& a, const auto& b) {
-  return a.packets > b.packets;
-};
-}  // namespace
+SpaceSaving::SpaceSaving(std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {
+  entries_.reserve(capacity_);
+  heap_.reserve(capacity_);
+  pos_.reserve(capacity_);
+  // 16 slots per entry. A home is the tag's top log2(slots) bits, which
+  // its 32 bits cover up to 2^28 entries.
+  index_.assign(std::bit_ceil(capacity_ * 16), Slot{});
+  mask_ = index_.size() - 1;
+  shift_ = 32 - std::countr_zero(index_.size());
+}
 
 void SpaceSaving::replace_min_batch(std::span<const Candidate> misses) {
-  std::size_t i = 0;
-  for (; i < misses.size() && map_.size() < capacity_; ++i) {
-    const Candidate& c = misses[i];
-    Entry e;
-    e.tuple = c.tuple;
-    e.hash = c.hash;
-    e.count.packets = c.packets;
-    e.count.bytes = c.bytes;
-    // A duplicate hash within the batch folds into the earlier entry
-    // (record_burst keys by (hash, graph), so the same flow can appear
-    // once per graph).
-    const auto [it, inserted] = map_.emplace(c.hash, std::move(e));
-    if (!inserted) {
-      it->second.count.packets += c.packets;
-      it->second.count.bytes += c.bytes;
-    }
-  }
-  if (i == misses.size()) return;
-  // One exact min-heap build amortised over every replacement in the
-  // batch. No increments interleave, so the heap stays exact and the
-  // result is identical to running classic Space-Saving sample-by-sample:
-  // each newcomer displaces the then-current minimum and inherits its
-  // count as the error bound.
-  scratch_heap_.clear();
-  scratch_heap_.reserve(map_.size() + (misses.size() - i));
-  for (const auto& [hash, e] : map_) {
-    scratch_heap_.push_back({e.count.packets, hash});
-  }
-  std::make_heap(scratch_heap_.begin(), scratch_heap_.end(), kHeapGreater);
-  for (; i < misses.size(); ++i) {
-    const Candidate& c = misses[i];
-    if (increment(c.hash, c.packets, c.bytes)) continue;  // in-batch dup
-    std::pop_heap(scratch_heap_.begin(), scratch_heap_.end(), kHeapGreater);
-    const HeapSlot victim_slot = scratch_heap_.back();
-    scratch_heap_.pop_back();
-    // Recycle the victim's map node (no free + alloc per eviction — at a
-    // mouse-storm eviction rate the allocator churn dominates the sketch).
-    auto node = map_.extract(map_.find(victim_slot.hash));
-    Entry& e = node.mapped();
-    node.key() = c.hash;
-    e.tuple = c.tuple;
-    e.hash = c.hash;
-    e.error = e.count.packets;
-    e.count.packets += c.packets;
-    e.count.bytes += c.bytes;
-    scratch_heap_.push_back({e.count.packets, c.hash});
-    std::push_heap(scratch_heap_.begin(), scratch_heap_.end(), kHeapGreater);
-    map_.insert(std::move(node));
+  for (const Candidate& c : misses) {
+    if (!increment(c.hash, c.packets, c.bytes)) insert(c);
   }
 }
 
@@ -108,16 +68,90 @@ bool SpaceSaving::record(const FiveTuple& tuple, u64 hash, u64 packets,
                          u64 bytes) {
   if (packets == 0) return false;
   if (increment(hash, packets, bytes)) return false;
-  const Candidate c{tuple, hash, packets, bytes};
-  replace_min_batch({&c, 1});
+  insert({tuple, hash, packets, bytes});
   return true;
 }
 
-std::vector<SpaceSaving::Entry> SpaceSaving::entries() const {
-  std::vector<Entry> out;
-  out.reserve(map_.size());
-  for (const auto& [hash, e] : map_) out.push_back(e);
-  return out;
+void SpaceSaving::insert(const Candidate& c) {
+  if (entries_.size() < capacity_) {
+    const auto e = static_cast<u32>(entries_.size());
+    Entry& fresh = entries_.emplace_back();
+    fresh.tuple = c.tuple;
+    fresh.hash = c.hash;
+    fresh.count = {c.packets, c.bytes};
+    place(tag_of(c.hash), e);
+    heap_.push_back({c.packets, e});
+    pos_.push_back(e);
+    sift_up(heap_.size() - 1);
+    return;
+  }
+  // Classic replacement: the newcomer takes over the minimum entry, and
+  // the minimum's count becomes its error bound.
+  const u32 e = heap_.front().entry;
+  Entry& victim = entries_[e];
+  erase_slot(tag_of(victim.hash), e);
+  victim.tuple = c.tuple;
+  victim.hash = c.hash;
+  victim.error = victim.count.packets;
+  victim.count.packets += c.packets;
+  victim.count.bytes += c.bytes;
+  place(tag_of(c.hash), e);
+  heap_.front().packets = victim.count.packets;
+  sift_down(0);
+}
+
+// Puts `entry` in the first free slot of its probe sequence.
+void SpaceSaving::place(u32 tag, u32 entry) {
+  std::size_t i = home(tag);
+  while (index_[i].entry != kNil) i = (i + 1) & mask_;
+  index_[i] = Slot{tag, entry};
+}
+
+// Backward-shift deletion: close the hole by sliding back every slot of
+// the cluster that had probed past it, so lookups need no tombstones.
+void SpaceSaving::erase_slot(u32 tag, u32 entry) {
+  std::size_t hole = home(tag);
+  while (index_[hole].entry != entry) hole = (hole + 1) & mask_;
+  for (std::size_t j = (hole + 1) & mask_; index_[j].entry != kNil;
+       j = (j + 1) & mask_) {
+    const std::size_t h = home(index_[j].tag);
+    if (((j - h) & mask_) >= ((j - hole) & mask_)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = Slot{};
+}
+
+void SpaceSaving::sift_down(std::size_t pos) noexcept {
+  const HeapNode x = heap_[pos];
+  const std::size_t n = heap_.size();
+  for (std::size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    // The lesser child, chosen without a branch: sifts through a table
+    // of near-equal churning counts are unpredictable.
+    child += static_cast<std::size_t>(child + 1 < n &&
+                                      heap_[child + 1].packets <
+                                          heap_[child].packets);
+    if (heap_[child].packets >= x.packets) break;
+    heap_[pos] = heap_[child];
+    pos_[heap_[pos].entry] = static_cast<u32>(pos);
+    pos = child;
+  }
+  heap_[pos] = x;
+  pos_[x.entry] = static_cast<u32>(pos);
+}
+
+void SpaceSaving::sift_up(std::size_t pos) noexcept {
+  const HeapNode x = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (heap_[parent].packets <= x.packets) break;
+    heap_[pos] = heap_[parent];
+    pos_[heap_[pos].entry] = static_cast<u32>(pos);
+    pos = parent;
+  }
+  heap_[pos] = x;
+  pos_[x.entry] = static_cast<u32>(pos);
 }
 
 std::vector<SpaceSaving::Entry> merge_topk(
@@ -212,7 +246,6 @@ ShardFlowAccountant::ShardFlowAccountant(std::size_t topk_capacity,
 void ShardFlowAccountant::record_burst(std::span<const FlowSample> samples) {
   if (samples.empty()) return;
   const std::scoped_lock lock(mu_);
-  miss_scratch_.clear();
   for (const FlowSample& s : samples) {
     if (s.packets == 0) continue;
     packets_ += s.packets;
@@ -222,13 +255,8 @@ void ShardFlowAccountant::record_burst(std::span<const FlowSample> samples) {
       graphs_[s.graph].bytes += s.bytes;
     }
     hll_.add(s.hash);
-    if (topk_.increment(s.hash, s.packets, s.bytes)) continue;
-    // Unmonitored flow: count it once and defer the Space-Saving
-    // replacement so one heap build serves the whole burst.
-    ++new_flows_;
-    miss_scratch_.push_back({s.tuple, s.hash, s.packets, s.bytes});
+    if (topk_.record(s.tuple, s.hash, s.packets, s.bytes)) ++new_flows_;
   }
-  if (!miss_scratch_.empty()) topk_.replace_min_batch(miss_scratch_);
 }
 
 void ShardFlowAccountant::record_drop(DropReason reason, const char* stage,
@@ -258,6 +286,15 @@ ShardFlowSnapshot ShardFlowAccountant::snapshot() const {
   }
   snap.exemplars = exemplars_.snapshot();
   return snap;
+}
+
+void FlowAccumulator::flush(ShardFlowAccountant& acct) {
+  if (samples_.empty()) return;
+  acct.record_burst(samples_);
+  for (const u32 idx : used_) index_[idx] = Slot{};
+  samples_.clear();
+  used_.clear();
+  pending_ = 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -30,16 +30,21 @@
 // LiveClassificationTable.
 //
 // Recording contract: the shard worker aggregates packets thread-locally
-// into an open-addressed (flow, graph) table and folds whole epochs into
-// the shard's accountant under one uncontended mutex acquisition —
-// preferentially during idle streaks so the fold overlaps starvation
-// rather than displacing forwarding, with a ~64Ki-packet staleness
-// backstop under sustained saturation. The sketches never see per-packet
-// locking, and scrape threads touch the same mutex only at report time.
-// Drop counters are relaxed atomics (drops are the cold path). The
-// director's flow hash is reused for every key, so accounting
-// adds no reparse; bench_shard_scaling's sharded/flow32-acct/noacct pair
-// gates the enabled cost at 5%.
+// (FlowAccumulator) and folds whole epochs into the shard's accountant
+// under one uncontended mutex acquisition. An epoch ends at an idle
+// streak, at stop, when a probe run of the accumulator fills, or at a
+// 64Ki-packet staleness backstop. Paced and low-cardinality workloads
+// fold at idle streaks or the backstop; a shard with ~10k flows
+// (ct-churn) folds when a probe run fills, every ~29k packets, on the
+// critical path. The sketches never see per-packet locking, and scrape
+// threads touch the same mutex only at report time. Drop counters are
+// relaxed atomics (drops are the cold path). The director's flow hash is
+// reused for every key, so accounting adds no reparse.
+// bench_shard_scaling's sharded/flow32-acct/noacct pair gates the enabled
+// cost at 5% on 427 flows, whose folds are a few hundred samples. The
+// cost at high cardinality is bench_micro_components' BM_FlowFold/zipf10k
+// (CI holds it to 6x BM_FlowFold/uniform341) and perfbench ct-churn's
+// telemetry.overhead_share.
 //
 // Surfaces: /flows.json, flows_active / flow_new_rate / hh_top1_share /
 // drops_<reason>_total probes (republished as Prometheus gauges), the
@@ -54,7 +59,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -92,6 +96,19 @@ const char* drop_reason_name(DropReason r) noexcept;
 // true count > N/capacity is present, and for every entry
 // true_count <= packets <= true_count + error. Single-threaded; the
 // accountant serializes access.
+//
+// The table is flat and allocates nothing after construction: `capacity`
+// entries in one vector, a min-heap of entry indices ordered by packets,
+// and an open-addressed index of (hash tag, entry) slots, a sixteenth full,
+// whose deletions shift the cluster back (as in FlowTable) instead of
+// leaving tombstones. Counts only grow, so the heap stays valid across
+// calls: an increment sifts its entry down from its stored heap position,
+// and a newcomer takes over the top entry and sifts down. A hit or a
+// replacement costs O(log capacity); at the shards' 128 entries the table
+// is ~25 KB and stays in L1. The sparse index keeps a probe to about one
+// slot, so its loops rarely mispredict: on a ct-churn shard nearly every
+// folded sample is a newcomer, and a denser index cost more than its
+// footprint saved.
 class SpaceSaving {
  public:
   struct Entry {
@@ -101,12 +118,9 @@ class SpaceSaving {
     u64 error = 0;          // max over-count inherited at replacement
   };
 
-  explicit SpaceSaving(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {
-    map_.reserve(capacity_ * 2);
-  }
+  explicit SpaceSaving(std::size_t capacity);
 
-  // An unmonitored flow waiting to displace the table minimum.
+  // One flow's packets and bytes, for replace_min_batch().
   struct Candidate {
     FiveTuple tuple{};
     u64 hash = 0;
@@ -114,45 +128,81 @@ class SpaceSaving {
     u64 bytes = 0;
   };
 
-  // True when the flow currently holds a slot (the new-flow heuristic).
-  bool contains(u64 hash) const { return map_.contains(hash); }
-
-  // Hit path: adds to an already-monitored flow. False when absent — the
-  // caller batches the miss into a replace_min_batch() call.
+  // Hit path: adds to an already-monitored flow. False when absent.
   bool increment(u64 hash, u64 packets, u64 bytes) {
-    const auto it = map_.find(hash);
-    if (it == map_.end()) return false;
-    it->second.count.packets += packets;
-    it->second.count.bytes += bytes;
+    const u32 e = find(hash);
+    if (e == kNil) return false;
+    entries_[e].count.packets += packets;
+    entries_[e].count.bytes += bytes;
+    const u32 pos = pos_[e];
+    heap_[pos].packets += packets;
+    sift_down(pos);
     return true;
   }
 
-  // Miss path: classic Space-Saving replacement for a batch of candidates
-  // — each fills a free slot or displaces the then-current minimum,
-  // inheriting its count as `error`. Batching lets one O(K) scratch-heap
-  // build serve every replacement of an epoch (exact sequential semantics:
-  // no increments interleave within a batch).
+  // Folds candidates in order, each as record() would: a monitored flow
+  // (one a previous candidate brought in, say) adds to its entry; any
+  // other fills a free entry or displaces the then-current minimum,
+  // inheriting its count as `error`.
   void replace_min_batch(std::span<const Candidate> misses);
 
-  // Returns true when the flow was not previously monitored. Convenience
+  // Returns true when the flow was not previously monitored. The
   // single-sample form of increment + replace_min_batch.
   bool record(const FiveTuple& tuple, u64 hash, u64 packets, u64 bytes);
 
-  std::size_t size() const noexcept { return map_.size(); }
+  std::size_t size() const noexcept { return entries_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
-  std::vector<Entry> entries() const;  // unsorted
+  std::vector<Entry> entries() const { return entries_; }  // unsorted
 
  private:
-  struct HeapSlot {
-    u64 packets = 0;
-    u64 hash = 0;
+  static constexpr u32 kNil = ~u32{0};
+
+  // Keyed by the 64-bit flow hash (a collision merges two flows into one
+  // entry — acceptable for a sketch, vanishing at these table sizes). A
+  // slot holds the hash's top 32 bits and the entry, whose full hash
+  // settles a match.
+  struct Slot {
+    u32 tag = 0;
+    u32 entry = kNil;  // kNil = empty
   };
 
+  // The heap keeps each entry's packets beside its index, so a sift
+  // compares without chasing the index into entries_.
+  struct HeapNode {
+    u64 packets = 0;
+    u32 entry = 0;
+  };
+
+  static u32 tag_of(u64 hash) noexcept { return static_cast<u32>(hash >> 32); }
+
+  // The home slot takes the tag's top bits: the director shards by
+  // hash % shards, so the low bits repeat within a shard.
+  std::size_t home(u32 tag) const noexcept {
+    return static_cast<std::size_t>(tag >> shift_);
+  }
+
+  u32 find(u64 hash) const noexcept {
+    const u32 tag = tag_of(hash);
+    for (std::size_t i = home(tag);; i = (i + 1) & mask_) {
+      const Slot s = index_[i];
+      if (s.entry == kNil) return kNil;
+      if (s.tag == tag && entries_[s.entry].hash == hash) return s.entry;
+    }
+  }
+
+  void insert(const Candidate& c);  // a miss: fill or displace the minimum
+  void place(u32 tag, u32 entry);
+  void erase_slot(u32 tag, u32 entry);
+  void sift_down(std::size_t pos) noexcept;
+  void sift_up(std::size_t pos) noexcept;
+
   std::size_t capacity_;
-  // Keyed by the 64-bit flow hash (a collision merges two flows into one
-  // entry — acceptable for a sketch, vanishing at these table sizes).
-  std::unordered_map<u64, Entry> map_;
-  std::vector<HeapSlot> scratch_heap_;  // rebuilt per replace_min_batch
+  std::vector<Entry> entries_;  // grows to capacity_, then only rewrites
+  std::vector<HeapNode> heap_;  // least packets on top
+  std::vector<u32> pos_;        // entry index -> its position in heap_
+  std::vector<Slot> index_;     // power of two, 1/16 in use when full
+  std::size_t mask_ = 0;
+  int shift_ = 0;  // 32 - log2(index_.size())
 };
 
 // Sums entry lists by flow hash, sorts by descending packets and truncates
@@ -305,7 +355,6 @@ class ShardFlowAccountant {
  private:
   mutable std::mutex mu_;
   SpaceSaving topk_;
-  std::vector<SpaceSaving::Candidate> miss_scratch_;  // reused per burst
   HyperLogLog hll_;
   u64 packets_ = 0;
   u64 bytes_ = 0;
@@ -313,6 +362,103 @@ class ShardFlowAccountant {
   std::vector<PacketByteCount> graphs_;
   std::array<std::atomic<u64>, kDropReasonCount> drops_{};
   DropExemplarRing exemplars_;
+};
+
+// Worker-private flow-sample accumulator: collapses same-flow packets
+// across bursts into one FlowSample per (flow, graph) in an
+// open-addressed table, then folds the whole epoch into the shard's
+// accountant under one mutex acquisition. A mouse-heavy mix would
+// otherwise pay one Space-Saving step per packet; per epoch it pays one
+// per distinct (flow, graph).
+//
+// An epoch ends in one of three ways. The shard worker flushes after a
+// streak of empty polls and on stop, so scrapes of a quiet plane see
+// exact counts; paced workloads fold there, a few samples at a time. A
+// packet whose probe run is full flushes first: at ~10k flows per shard
+// (ct-churn) that happens about every 29k packets, with ~7k samples per
+// fold, nearly all of them unmonitored flows that each displace the
+// Space-Saving minimum. With few flows under sustained saturation, when
+// neither comes, kFlushPackets bounds the staleness.
+class FlowAccumulator {
+ public:
+  // The fold costs per sample, so the table is sized to hold thousands of
+  // distinct flows per epoch: a probe run fills at ~45% load, ~7k
+  // samples. Fewer slots fold more often: at 4,096 a ct-churn shard
+  // folds every ~3.6k packets, 0.56 samples per packet against 0.24
+  // here. Twice as many hold a whole 64Ki-packet ct-churn epoch (0.14),
+  // but their larger samples array raised ct-churn's peak memory ~9%.
+  static constexpr std::size_t kSlots = 16384;  // power of two
+  static constexpr std::size_t kMaxProbe = 16;
+  // 64Ki packets is ~40 ms at 1.5 Mpps, well inside the probe cache's
+  // 200 ms refresh.
+  static constexpr u64 kFlushPackets = 64 * 1024;
+
+  // Counts one packet of `flow` toward `graph`, folding the epoch into
+  // `acct` first when the flow's probe run is full.
+  void add(const FlowRef& flow, std::size_t bytes, u32 graph,
+           ShardFlowAccountant& acct) {
+    if (!try_add(flow, bytes, graph)) {
+      flush(acct);
+      try_add(flow, bytes, graph);
+    }
+  }
+
+  // Folds the epoch into `acct` and empties the table.
+  void flush(ShardFlowAccountant& acct);
+
+  // Packets added since the last flush.
+  u64 pending() const noexcept { return pending_; }
+
+ private:
+  static constexpr std::size_t kMask = kSlots - 1;
+  static constexpr u32 kEmpty = ~u32{0};
+
+  // An index slot: the flow hash's top 32 bits and the position of the
+  // (flow, graph) sample in samples_. At 8 B a slot the index is 128 KB,
+  // and the samples sit back to back in arrival order, so a flush hands
+  // them to the accountant as they are.
+  struct Slot {
+    u32 tag = 0;
+    u32 sample = kEmpty;
+  };
+
+  // False when the probe run is full.
+  bool try_add(const FlowRef& flow, std::size_t bytes, u32 graph) {
+    const auto tag = static_cast<u32>(flow.hash >> 32);
+    std::size_t idx = static_cast<std::size_t>(flow.hash) & kMask;
+    for (std::size_t probe = 0; probe < kMaxProbe;
+         ++probe, idx = (idx + 1) & kMask) {
+      Slot& slot = index_[idx];
+      if (slot.sample == kEmpty) {
+        slot = {tag, static_cast<u32>(samples_.size())};
+        FlowSample& s = samples_.emplace_back();
+        s.tuple = flow.tuple;
+        s.hash = flow.hash;
+        s.graph = graph;
+        s.packets = 1;
+        s.bytes = bytes;
+        s.tuple_valid = flow.valid;
+        used_.push_back(static_cast<u32>(idx));
+        ++pending_;
+        return true;
+      }
+      if (slot.tag != tag) continue;
+      FlowSample& s = samples_[slot.sample];
+      if (s.hash == flow.hash && s.graph == graph) {
+        ++s.packets;
+        s.bytes += bytes;
+        ++pending_;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::vector<Slot> index_ = std::vector<Slot>(kSlots);
+  // Both grow to the largest epoch and keep that capacity.
+  std::vector<FlowSample> samples_;  // the epoch, in arrival order
+  std::vector<u32> used_;            // occupied index slots
+  u64 pending_ = 0;
 };
 
 // ---------------------------------------------------------------------------

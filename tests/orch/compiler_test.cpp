@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "orch/compiler.hpp"
 #include "policy/parser.hpp"
@@ -231,6 +233,43 @@ TEST_F(CompilerTest, PositionOrderContradictionWarns) {
   (void)g;
   ASSERT_FALSE(report_.warnings.empty());
   EXPECT_NE(report_.warnings[0].find("Position"), std::string::npos);
+}
+
+TEST_F(CompilerTest, PrioritySplitAcrossSegmentsWarns) {
+  // The chain rules level firewall (with monitor and vpn) a segment ahead
+  // of ips, so no merge can enforce Priority(ips > firewall): the report
+  // names the rule and both segments. The other two Priority pairs share
+  // a segment and draw no such warning.
+  const ServiceGraph g = compile(
+      "policy split\nchain(ips, nat)\nchain(monitor, vpn)\n"
+      "chain(monitor, nat)\nchain(vpn, nat)\npriority(ips > firewall)\n"
+      "priority(firewall > vpn)\npriority(ips > lb)");
+  const auto segment_of = [&](const std::string& nf) {
+    for (std::size_t s = 0; s < g.segments().size(); ++s) {
+      if (find_nf(g.segments()[s], nf) != nullptr) return s;
+    }
+    return g.segments().size();
+  };
+  const std::size_t ips = segment_of("ips");
+  const std::size_t firewall = segment_of("firewall");
+  ASSERT_NE(ips, firewall) << g.to_string();
+  ASSERT_EQ(segment_of("vpn"), firewall) << g.to_string();
+  ASSERT_EQ(segment_of("lb"), ips) << g.to_string();
+  std::vector<std::string> split;
+  for (const std::string& w : report_.warnings) {
+    if (w.find("spans two segments") != std::string::npos) split.push_back(w);
+  }
+  ASSERT_EQ(split.size(), 1u);
+  EXPECT_NE(split[0].find("Priority(ips > firewall)"), std::string::npos)
+      << split[0];
+  EXPECT_NE(split[0].find("'ips' runs in segment [" + std::to_string(ips) +
+                          "]"),
+            std::string::npos)
+      << split[0];
+  EXPECT_NE(split[0].find("'firewall' in segment [" +
+                          std::to_string(firewall) + "]"),
+            std::string::npos)
+      << split[0];
 }
 
 TEST_F(CompilerTest, LongRealisticChainCompiles) {

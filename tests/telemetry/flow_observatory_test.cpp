@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "dataplane/sharded_dataplane.hpp"
 #include "graph/service_graph.hpp"
 #include "nfs/firewall.hpp"
@@ -171,30 +173,170 @@ TEST(FlowObservatoryTest, SpaceSavingExactWithinCapacity) {
   }
 }
 
-TEST(FlowObservatoryTest, SpaceSavingErrorAndPresenceBounds) {
-  constexpr std::size_t kCapacity = 16;
-  constexpr std::size_t kFlows = 200;
-  SpaceSaving table(kCapacity);
-  const auto counts = zipf_counts(kFlows, 20'000);
-  u64 n = 0;
+// One weighted sample of a Space-Saving input: `packets` packets of flow
+// `flow` (the accumulator folds same-flow packets into one such sample).
+struct StreamSample {
+  std::size_t flow = 0;
+  u64 packets = 0;
+};
+
+// A Space-Saving input stream, the table size it is fed into, and the
+// exact per-flow counts it adds up to.
+struct SketchStream {
+  std::string name;
+  std::size_t capacity = 0;
+  std::vector<StreamSample> samples;
+  std::vector<u64> counts;  // exact, per flow
+  u64 n = 0;                // total packets
+};
+
+SketchStream make_stream(std::string name, std::size_t capacity,
+                         std::size_t flows, std::vector<StreamSample> samples) {
+  SketchStream st{std::move(name), capacity, std::move(samples),
+                  std::vector<u64>(flows), 0};
+  for (const StreamSample& s : st.samples) {
+    st.counts[s.flow] += s.packets;
+    st.n += s.packets;
+  }
+  return st;
+}
+
+// `samples` draws over `flows` flows, each of 1..max_packets packets; flow
+// f has weight 1/(f+1)^s (s = 0: uniform).
+SketchStream random_stream(std::string name, std::size_t capacity,
+                           std::size_t flows, std::size_t samples, double s,
+                           u64 max_packets, u64 seed) {
+  std::vector<double> cdf(flows);
+  double total = 0;
+  for (std::size_t f = 0; f < flows; ++f) {
+    total += std::pow(static_cast<double>(f + 1), -s);
+    cdf[f] = total;
+  }
+  Rng rng(seed);
+  std::vector<StreamSample> out(samples);
+  for (StreamSample& x : out) {
+    const auto it =
+        std::lower_bound(cdf.begin(), cdf.end(), rng.uniform() * total);
+    x.flow = std::min<std::size_t>(
+        static_cast<std::size_t>(it - cdf.begin()), flows - 1);
+    x.packets = 1 + rng.bounded(max_packets);
+  }
+  return make_stream(std::move(name), capacity, flows, std::move(out));
+}
+
+// The streams every Space-Saving property is checked on: the zipf head of
+// a mouse-heavy mix with unit samples, uniform and zipf draws with
+// weighted samples (a ct-churn shard's 10k zipf-0.8 flows into the
+// shards' 128 entries among them), and one whose flows all fit.
+std::vector<SketchStream> sketch_streams() {
+  std::vector<SketchStream> out;
+  std::vector<StreamSample> unit;
+  const auto counts = zipf_counts(200, 20'000);
   for (const std::size_t f : interleaved_flow_sequence(counts)) {
-    const FiveTuple t = test_tuple(f);
-    table.record(t, hash_five_tuple(t), 1, 1);
-    ++n;
+    unit.push_back({f, 1});
   }
-  EXPECT_LE(table.size(), kCapacity);
-  // Per-entry bound: true <= recorded <= true + error, error <= N/K.
-  for (const SpaceSaving::Entry& e : table.entries()) {
+  out.push_back(make_stream("zipf200-unit", 16, counts.size(),
+                            std::move(unit)));
+  out.push_back(random_stream("uniform1000", 16, 1'000, 20'000, 0.0, 4, 11));
+  out.push_back(random_stream("zipf10k", 128, 10'000, 40'000, 0.8, 3, 12));
+  out.push_back(random_stream("fits100", 128, 100, 5'000, 1.0, 8, 13));
+  return out;
+}
+
+// Space-Saving's guarantees against the exact counts: the counters sum to
+// N; every entry over-counts by at most its error, and its error by at
+// most N/K; every flow with more than N/K packets holds an entry; and
+// when every flow fits, the counts are exact.
+void check_space_saving(const SpaceSaving& table, const SketchStream& st) {
+  const std::size_t k = st.capacity;
+  const auto entries = table.entries();
+  EXPECT_LE(entries.size(), k);
+  u64 sum = 0;
+  std::set<u64> present;
+  for (const SpaceSaving::Entry& e : entries) {
     const u64 f = e.tuple.src_port - 20'000u;
-    EXPECT_GE(e.count.packets, counts[f]) << "flow " << f;
-    EXPECT_LE(e.count.packets, counts[f] + e.error) << "flow " << f;
-    EXPECT_LE(e.error, n / kCapacity) << "flow " << f;
+    ASSERT_LT(f, st.counts.size());
+    sum += e.count.packets;
+    present.insert(e.hash);
+    EXPECT_GE(e.count.packets, st.counts[f]) << "flow " << f;
+    EXPECT_LE(e.count.packets, st.counts[f] + e.error) << "flow " << f;
+    EXPECT_LE(e.error, st.n / k) << "flow " << f;
+    EXPECT_EQ(e.count.bytes, e.count.packets * 64) << "flow " << f;
   }
-  // Presence guarantee: every flow with true count > N/K holds a slot.
-  for (std::size_t f = 0; f < kFlows; ++f) {
-    if (counts[f] > n / kCapacity) {
-      EXPECT_TRUE(table.contains(hash_five_tuple(test_tuple(f))))
+  EXPECT_EQ(sum, st.n) << "every packet lands in exactly one counter";
+  std::size_t flows = 0;
+  for (std::size_t f = 0; f < st.counts.size(); ++f) {
+    if (st.counts[f] == 0) continue;
+    ++flows;
+    if (st.counts[f] > st.n / k) {
+      EXPECT_TRUE(present.contains(hash_five_tuple(test_tuple(f))))
           << "heavy flow " << f << " missing";
+    }
+  }
+  if (flows <= k) {
+    EXPECT_EQ(entries.size(), flows);
+    for (const SpaceSaving::Entry& e : entries) {
+      const u64 f = e.tuple.src_port - 20'000u;
+      EXPECT_EQ(e.count.packets, st.counts[f]) << "flow " << f;
+      EXPECT_EQ(e.error, 0u) << "within capacity nothing is evicted";
+    }
+  }
+}
+
+SpaceSaving::Candidate candidate(const StreamSample& s) {
+  const FiveTuple t = test_tuple(s.flow);
+  return {t, hash_five_tuple(t), s.packets, s.packets * 64};
+}
+
+TEST(FlowObservatoryTest, SpaceSavingErrorAndPresenceBounds) {
+  for (const SketchStream& st : sketch_streams()) {
+    SCOPED_TRACE(st.name);
+    {
+      // Sample by sample; each newcomer must displace a least entry and
+      // inherit its count as the error.
+      SCOPED_TRACE("record");
+      SpaceSaving table(st.capacity);
+      for (const StreamSample& s : st.samples) {
+        const SpaceSaving::Candidate c = candidate(s);
+        const auto before = table.entries();
+        u64 least = 0;
+        if (before.size() == st.capacity) {
+          least = std::min_element(before.begin(), before.end(),
+                                   [](const auto& a, const auto& b) {
+                                     return a.count.packets < b.count.packets;
+                                   })
+                      ->count.packets;
+        }
+        if (!table.record(c.tuple, c.hash, c.packets, c.bytes)) continue;
+        for (const SpaceSaving::Entry& e : table.entries()) {
+          if (e.hash != c.hash) continue;
+          ASSERT_EQ(e.error, least) << "flow " << s.flow;
+          ASSERT_EQ(e.count.packets, least + c.packets) << "flow " << s.flow;
+        }
+      }
+      check_space_saving(table, st);
+    }
+    // In batches: one candidate at a time into a full table, a whole
+    // 4,096-sample epoch at once, and sizes drawn from 1..4,096.
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{4'096},
+                                     std::size_t{0}}) {
+      SCOPED_TRACE(batch == 0 ? std::string("batch random")
+                              : "batch " + std::to_string(batch));
+      SpaceSaving table(st.capacity);
+      Rng rng(batch);
+      std::vector<SpaceSaving::Candidate> cands;
+      for (std::size_t i = 0; i < st.samples.size();) {
+        const std::size_t len = std::min<std::size_t>(
+            batch != 0 ? batch : 1 + rng.bounded(4'096),
+            st.samples.size() - i);
+        cands.clear();
+        for (std::size_t j = i; j < i + len; ++j) {
+          cands.push_back(candidate(st.samples[j]));
+        }
+        table.replace_min_batch(cands);
+        i += len;
+      }
+      check_space_saving(table, st);
     }
   }
 }
@@ -373,6 +515,81 @@ TEST(FlowObservatoryTest, LiveZipfHeavyHittersAndChurn) {
   EXPECT_EQ(rep.total.topk.front().tuple.src_port, 20'000u);
   EXPECT_EQ(rep.total.topk.front().count.packets, counts[0]);
   EXPECT_GT(rep.hh_top1_share(), 0.1);
+  check_drop_sum_invariant(dp, obs);
+  const ShardedResult res = dp.drain();
+  EXPECT_TRUE(res.status.is_ok());
+}
+
+// More distinct flows per epoch than the accumulator holds (~7k): its
+// probe runs fill, so the epoch folds before any idle streak or the
+// staleness backstop, as on a ct-churn shard.
+TEST(FlowObservatoryTest, AccumulatorFoldsOnProbeOverflow) {
+  constexpr std::size_t kFlows = 20'000;
+  ShardFlowAccountant acct(128, 1);
+  telemetry::FlowAccumulator acc;
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    FlowRef flow;
+    flow.tuple = test_tuple(f);
+    flow.hash = hash_five_tuple(flow.tuple);
+    flow.valid = true;
+    acc.add(flow, 64, 0, acct);
+  }
+  const u64 folded = acct.snapshot().packets;
+  EXPECT_GT(folded, 0u) << "no probe run overflowed";
+  EXPECT_LT(folded, kFlows);
+  EXPECT_EQ(folded + acc.pending(), kFlows);
+  acc.flush(acct);
+  EXPECT_EQ(acc.pending(), 0u);
+  const ShardFlowSnapshot snap = acct.snapshot();
+  EXPECT_EQ(snap.packets, kFlows);
+  EXPECT_EQ(snap.bytes, kFlows * 64);
+  EXPECT_EQ(snap.new_flows, kFlows);
+  EXPECT_EQ(snap.topk.size(), 128u);
+}
+
+TEST(FlowObservatoryTest, LiveHighCardinalityHeavyHitterBounds) {
+  // 12,000 zipf flows on one shard: the interleaved feed's first round
+  // alone is more distinct flows than the accumulator holds (~7k), so
+  // unless the worker idles first its probe runs fill and the epoch folds
+  // early; nearly every folded sample displaces the table minimum.
+  constexpr std::size_t kFlows = 12'000;
+  const auto counts = zipf_counts(kFlows, 60'000);
+  const auto frames = frames_for_sequence(interleaved_flow_sequence(counts));
+
+  ShardedDataplaneOptions opts;
+  opts.shards = 1;
+  ShardedDataplane dp({compile_chain({"monitor"})}, {}, opts);
+  Observatory obs;
+  dp.register_observatory(obs);
+  const FlowReport rep = run_flows(dp, obs, frames);
+
+  const u64 n = frames.size();
+  EXPECT_EQ(rep.total.packets, n);
+  const std::size_t k = rep.total.topk_capacity;
+  ASSERT_GT(k, 0u);
+  ASSERT_EQ(rep.total.topk.size(), k);
+  std::set<u64> present;
+  for (const SpaceSaving::Entry& e : rep.total.topk) {
+    const u64 f = e.tuple.src_port - 20'000u;
+    ASSERT_LT(f, kFlows);
+    present.insert(e.hash);
+    EXPECT_GE(e.count.packets, counts[f]) << "flow " << f;
+    EXPECT_LE(e.count.packets, counts[f] + e.error) << "flow " << f;
+    EXPECT_LE(e.error, n / k) << "flow " << f;
+  }
+  std::size_t heavy = 0;
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    if (counts[f] <= n / k) continue;
+    ++heavy;
+    EXPECT_TRUE(present.contains(hash_five_tuple(test_tuple(f))))
+        << "heavy flow " << f << " missing";
+  }
+  EXPECT_GT(heavy, 1u);
+  EXPECT_EQ(rep.total.topk.front().tuple.src_port, 20'000u)
+      << "the elephant is the first entry";
+  // Three standard errors of a 256-register HyperLogLog (1.04/16 each).
+  EXPECT_NEAR(rep.flows_active(), static_cast<double>(kFlows),
+              3 * 0.065 * static_cast<double>(kFlows));
   check_drop_sum_invariant(dp, obs);
   const ShardedResult res = dp.drain();
   EXPECT_TRUE(res.status.is_ok());

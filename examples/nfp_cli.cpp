@@ -17,16 +17,17 @@
 //   nfp_cli scalability [policy] [opts]   sweep shard counts and attribute
 //                                         every lost packet-per-second to
 //                                         a cycle bucket (useful/starved/
-//                                         ring/pool/merge/classifier-miss)
+//                                         ring/pool/classifier-miss)
 //   nfp_cli latency [policy] [opts]       run the NFP-parallel graph and its
 //                                         flattened sequential chain on the
-//                                         sharded dataplane and print the
+//                                         sharded dataplane, open loop at
+//                                         100,000 frames/s, and print the
 //                                         stage-resolved latency-reduction
-//                                         table (p50/p99/p99.9 per stage);
-//                                         each packet runs to completion on
-//                                         one core, so this measures NFP's
-//                                         fan-out and merge cost, not
-//                                         intra-packet parallelism
+//                                         table (ingest/queue/service/total,
+//                                         p50/p99/p99.9); each packet runs
+//                                         to completion on one core, so this
+//                                         measures NFP's fan-out and merge
+//                                         cost, not intra-packet parallelism
 //   nfp_cli flows [policy] [opts]         run a zipf elephant/mice workload
 //                                         and print the flow view's
 //                                         merged top-K heavy hitters, flow
@@ -946,7 +947,9 @@ struct TopView {
   double pps_in = 0;
   double pps_out = 0;
   double drops_per_s = 0;
-  double merge_wait_share = 0;
+  // Published only by a simulated plane (its critical path); the live
+  // plane's merge is fused and never waits.
+  std::optional<double> merge_wait_share;
   u64 ticks = 0;
   std::map<std::string, double> util;       // component -> core_util
   std::map<std::string, double> p99_ns;     // nf -> nf_service_ns:p99
@@ -960,7 +963,6 @@ struct TopView {
   std::vector<TopLatencyStage> latency_stages;
   u64 latency_sampled = 0;
   u64 latency_sample_every = 0;
-  double latency_queue_depth = 0;
   double latency_ingest_depth = 0;
   std::vector<TopFlowRow> top_flows;
   double flows_active = 0;
@@ -1040,7 +1042,6 @@ void parse_latency_view(const json::Value& doc, TopView* view) {
       static_cast<u64>(doc.number_or("sample_every", 0));
   const json::Value* total = doc.find("total");
   if (total == nullptr) return;
-  view->latency_queue_depth = total->number_or("queue_depth", 0);
   view->latency_ingest_depth = total->number_or("ingest_queue_depth", 0);
   const json::Value* stages = total->find("stages");
   if (stages == nullptr) return;
@@ -1132,10 +1133,12 @@ void render_top(const TopView& view, const std::string& health_body,
       }
     }
   }
-  std::printf("  in %9.1f pps   out %9.1f pps   drops %7.1f/s   "
-              "merge-wait %4.1f%%\n",
-              view.pps_in, view.pps_out, view.drops_per_s,
-              100.0 * view.merge_wait_share);
+  std::printf("  in %9.1f pps   out %9.1f pps   drops %7.1f/s",
+              view.pps_in, view.pps_out, view.drops_per_s);
+  if (view.merge_wait_share) {
+    std::printf("   merge-wait %4.1f%%", 100.0 * *view.merge_wait_share);
+  }
+  std::printf("\n");
   if (!view.out_history.empty()) {
     std::printf("  out pps %s\n", sparkline(view.out_history, 48).c_str());
   }
@@ -1182,11 +1185,11 @@ void render_top(const TopView& view, const std::string& health_body,
   // sampling enabled and at least one sampled packet has completed).
   if (!view.latency_stages.empty() && view.latency_sampled > 0) {
     std::printf("\n  latency (sampled 1/%llu flows, %llu samples)   "
-                "queue depth %.0f   ingest depth %.0f\n",
+                "ingest depth %.0f\n",
                 static_cast<unsigned long long>(
                     view.latency_sample_every ? view.latency_sample_every : 1),
                 static_cast<unsigned long long>(view.latency_sampled),
-                view.latency_queue_depth, view.latency_ingest_depth);
+                view.latency_ingest_depth);
     std::printf("  %-12s %9s %9s %9s %9s\n", "stage", "p50us", "p99us",
                 "p99.9us", "maxus");
     for (const TopLatencyStage& row : view.latency_stages) {
@@ -1220,9 +1223,8 @@ void render_top(const TopView& view, const std::string& health_body,
 
   // Per-shard cycle attribution (only when the observatory is served).
   if (!view.shard_attrib.empty()) {
-    std::printf("\n  %-10s %10s %10s %7s %7s %7s %7s %7s %7s\n", "shard",
-                "pps", "proj pps", "useful", "starve", "ring", "pool",
-                "merge", "miss");
+    std::printf("\n  %-10s %10s %10s %7s %7s %7s %7s %7s\n", "shard", "pps",
+                "proj pps", "useful", "starve", "ring", "pool", "miss");
     for (const TopShardAttribution& row : view.shard_attrib) {
       std::printf("  %-10s %10.0f %10.0f", row.name.c_str(), row.pps,
                   row.projected_pps);
@@ -1385,10 +1387,15 @@ int parse_live_run_args(int argc, char** argv, const char* command,
 // observatory, start, reset its baseline, feed every frame, wait until
 // each is delivered or dropped, report, drain. The report comes before
 // drain() joins the workers, so its wall window matches the one the
-// threads accounted. Prints the error and returns nullopt on failure.
+// threads accounted. With `rate_pps` > 0 the feed is open loop: frame i
+// is due i / rate_pps seconds after the first, and the director spins
+// until then (a late frame goes at once), so latency reads the graph
+// rather than a queue behind the RX ring. 0 feeds back to back. Prints
+// the error and returns nullopt on failure.
 std::optional<telemetry::ObservatoryReport> run_observed(
     const ServiceGraph& graph, const ShardedDataplaneOptions& opts,
-    const std::vector<std::vector<u8>>& frames, std::size_t top_k = 10) {
+    const std::vector<std::vector<u8>>& frames, std::size_t top_k = 10,
+    double rate_pps = 0) {
   ShardedDataplane dp({graph}, pass_all_factory, opts);
   // Registered before start() so perf_event inheritance covers the
   // dataplane threads; baseline after start() to exclude spawn cost.
@@ -1400,8 +1407,15 @@ std::optional<telemetry::ObservatoryReport> run_observed(
     return std::nullopt;
   }
   observatory.reset_baseline();
-  for (const auto& frame : frames) {
-    dp.feed({frame.data(), frame.size()});
+  const u64 start_ns = telemetry::mono_now_ns();
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (rate_pps > 0) {
+      const auto due = start_ns + static_cast<u64>(static_cast<double>(i) *
+                                                   1e9 / rate_pps);
+      while (telemetry::mono_now_ns() < due) {
+      }
+    }
+    dp.feed({frames[i].data(), frames[i].size()});
   }
   for (;;) {
     u64 done = 0;
@@ -1545,6 +1559,10 @@ int flows_command(int argc, char** argv) {
 // The paper's experiment, on a plane that runs each packet to completion
 // on one core: a parallel segment's branches run one after another, so
 // the difference to the chain is the graph's fan-out and merge cost.
+// Frames go open loop at kLatencyRatePps, like perfbench's ns-paced
+// workload, so the planes run unsaturated and a sample's total is its
+// own trip, not its wait behind the frames fed before it.
+constexpr double kLatencyRatePps = 100'000;
 
 // The graph's NFs flattened into one sequential chain — the ONV/RTC view
 // of the same policy — so the comparison isolates graph shape.
@@ -1581,11 +1599,12 @@ int latency_command(int argc, char** argv) {
 
   if (!args.json) {
     std::printf("latency experiment: '%s' (%s) vs sequential chain (%s), "
-                "%llu packets/plane, %llu flows, %s skew, %zu shards, "
-                "sampling 1/%llu flows\n",
+                "%llu packets/plane at %.0f pps, %llu flows, %s skew, "
+                "%zu shards, sampling 1/%llu flows\n",
                 graph.name().c_str(), graph.structure().c_str(),
                 chain.structure().c_str(),
                 static_cast<unsigned long long>(args.packets),
+                kLatencyRatePps,
                 static_cast<unsigned long long>(args.flows),
                 args.skew.c_str(), static_cast<std::size_t>(shards),
                 static_cast<unsigned long long>(sample_every));
@@ -1594,9 +1613,9 @@ int latency_command(int argc, char** argv) {
   ShardedDataplaneOptions opts;
   opts.shards = static_cast<std::size_t>(shards);
   opts.pipeline.latency_sample_every = static_cast<std::size_t>(sample_every);
-  const auto seq_run = run_observed(chain, opts, frames);
+  const auto seq_run = run_observed(chain, opts, frames, 10, kLatencyRatePps);
   if (!seq_run) return 1;
-  const auto par_run = run_observed(graph, opts, frames);
+  const auto par_run = run_observed(graph, opts, frames, 10, kLatencyRatePps);
   if (!par_run) return 1;
   const telemetry::LatencyReport& seq_rep = seq_run->latency;
   const telemetry::LatencyReport& par_rep = par_run->latency;
@@ -1619,7 +1638,7 @@ int latency_command(int argc, char** argv) {
     std::printf("{\"command\":\"latency\",\"policy\":\"%s\","
                 "\"structure\":\"%s\",\"chain_structure\":\"%s\","
                 "\"shards\":%zu,\"packets\":%llu,\"flows\":%llu,"
-                "\"skew\":\"%s\",\"sample_every\":%llu,"
+                "\"skew\":\"%s\",\"rate_pps\":%.0f,\"sample_every\":%llu,"
                 "\"sequential\":%s,\"parallel\":%s,"
                 "\"reduction_pct\":{\"p50\":%.1f,\"p99\":%.1f,"
                 "\"p999\":%.1f,\"mean\":%.1f}}\n",
@@ -1628,7 +1647,7 @@ int latency_command(int argc, char** argv) {
                 static_cast<std::size_t>(shards),
                 static_cast<unsigned long long>(args.packets),
                 static_cast<unsigned long long>(args.flows), args.skew.c_str(),
-                static_cast<unsigned long long>(sample_every),
+                kLatencyRatePps, static_cast<unsigned long long>(sample_every),
                 seq_rep.to_json().c_str(), par_rep.to_json().c_str(),
                 red_p50, red_p99, red_p999, red_mean);
     return 0;

@@ -59,7 +59,6 @@ void LivePipeline::note_drop(telemetry::DropReason reason, const char* stage,
                              const FlowRef* flow) {
   drop_reasons_[static_cast<std::size_t>(reason)].fetch_add(
       1, std::memory_order_relaxed);
-  dropped_.increment();
   if (drop_exemplars_ != nullptr) {
     drop_exemplars_->record(reason, stage, flow, telemetry::mono_now_ns());
   }
@@ -90,21 +89,23 @@ void LivePipeline::close_service(Packet& pkt) {
 void LivePipeline::finalize_latency(const Packet& pkt) {
   const LatencyStamps& lat = pkt.lat();
   if (lat.origin_ns == 0 || lat_block_ == nullptr) return;
-  const u64 total = sat_sub(lat.mark_ns, lat.origin_ns);
-  const u64 accounted = lat.ingest_ns + lat.queue_ns + lat.service_ns;
   lat_block_->record(telemetry::LatencyStage::kIngest, lat.ingest_ns);
   lat_block_->record(telemetry::LatencyStage::kQueue, lat.queue_ns);
   lat_block_->record(telemetry::LatencyStage::kService, lat.service_ns);
-  // merge_wait records nothing: a fused merge has every arrival in hand,
-  // so there is no wait to measure, and an empty stage says so rather
-  // than a column of zeros.
-  lat_block_->record(telemetry::LatencyStage::kEgress,
-                     sat_sub(total, accounted));
-  lat_block_->record(telemetry::LatencyStage::kTotal, total);
+  lat_block_->record(telemetry::LatencyStage::kTotal,
+                     sat_sub(lat.mark_ns, lat.origin_ns));
 }
 
 NetworkFunction* LivePipeline::nf(std::size_t segment, std::size_t index) {
   return nfs_.at(segment).at(index).impl.get();
+}
+
+u64 LivePipeline::dropped_so_far() const {
+  u64 total = 0;
+  for (const auto& count : drop_reasons_) {
+    total += count.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 u64 LivePipeline::dropped_by(telemetry::DropReason reason) const {
@@ -124,44 +125,6 @@ telemetry::ShardLatencySnapshot LivePipeline::latency_snapshot() const {
         lat_block_->snapshot(static_cast<telemetry::LatencyStage>(s));
   }
   return snap;
-}
-
-void LivePipeline::register_health(telemetry::HealthSampler& sampler,
-                                   telemetry::Watchdog* watchdog,
-                                   const std::string& shard) {
-  // With a shard tag every probe carries a {"shard", N} label and every
-  // watchdog component gets a "shardN/" prefix, so S pipelines share one
-  // registry without metric collisions.
-  telemetry::Labels plane_labels{{"plane", "live"}};
-  if (!shard.empty()) plane_labels.emplace_back("shard", shard);
-  const std::string prefix = shard.empty() ? "" : "shard" + shard + "/";
-
-  // Allocator pressure: magazine↔pool batch traffic and refcount misuse.
-  sampler.add_probe("pool_magazine_refill_total", plane_labels, [this] {
-    return static_cast<double>(magazine_refills());
-  });
-  sampler.add_probe("pool_magazine_flush_total", plane_labels, [this] {
-    return static_cast<double>(magazine_flushes());
-  });
-  if (own_pool_ != nullptr) {
-    sampler.add_probe("pool_in_use", plane_labels, [this] {
-      return static_cast<double>(pool_in_use());
-    });
-    sampler.add_probe("pool_refcnt_underflow_total", plane_labels,
-                      [this] {
-                        return static_cast<double>(refcnt_underflows());
-                      });
-  }
-  if (watchdog != nullptr) {
-    if (own_pool_ != nullptr) {
-      watchdog->watch_pool(
-          prefix + "live-pool",
-          [this] { return static_cast<u64>(pool_in_use()); },
-          pool_capacity());
-    }
-    watchdog->watch_drop_counter(prefix + "live-pipeline",
-                                 [this] { return dropped_so_far(); });
-  }
 }
 
 Status LivePipeline::start() {
@@ -194,15 +157,12 @@ bool LivePipeline::feed(std::span<const u8> frame) {
     note_drop(telemetry::DropReason::kPoolExhausted, "feeder", nullptr);
     return false;
   }
-  // One clock read stamps the arrival (inject_time, which a shaper's token
-  // bucket refills from) and, when sampled, the latency origin. Standalone
-  // sampling: no flow hash at this layer, so sample by pid.
-  const u64 now = telemetry::mono_now_ns();
-  const bool sampled = opts_.latency_sample_every != 0 &&
-                       next_pid_ % opts_.latency_sample_every == 0;
+  // The arrival stamp a shaper's token bucket refills from. Latency
+  // sampling is the sharded director's flow-hash decision, so a frame fed
+  // here is not sampled.
   std::memcpy(pkt->data(), frame.data(), frame.size());
-  pkt->set_inject_time(now);
-  pkt->lat().origin_ns = sampled ? now : 0;
+  pkt->set_inject_time(telemetry::mono_now_ns());
+  pkt->lat().origin_ns = 0;
   enter(pkt);
   return true;
 }
@@ -295,8 +255,8 @@ void LivePipeline::run_graph(Packet* pkt) {
     }
   }
 
-  // Delivered. The last mark is "now", so egress = total - accounted
-  // covers only clock quirks.
+  // Delivered: the last mark closed the last service span, and total ends
+  // there.
   outputs_.push(pkt->bytes());
   finalize_latency(*pkt);
   mag_->release(pkt);

@@ -23,8 +23,15 @@
 //
 // Hot-path idioms: per-thread magazine caches over a lock-free packet pool
 // (alloc, release and add_ref never take a lock), fanout plans resolved at
-// construction, and single-writer progress counters that telemetry
-// threads read mid-run.
+// construction, and progress counters that telemetry threads read mid-run:
+// one delivered count and one count per drop reason, whose sum is the
+// drop total.
+//
+// Telemetry: a sampled packet's stamps telescope into three stages
+// (ingest, queue, service) that sum to its total exactly; no packet waits
+// at a merge or behind a ring inside the pipeline, so there is no stage
+// for either (latency_observatory.hpp). The sharded director picks the
+// sampled packets by flow hash; a standalone pipeline samples none.
 #pragma once
 
 #include <array>
@@ -48,11 +55,6 @@
 #include "telemetry/owned_counter.hpp"
 
 namespace nfp {
-
-namespace telemetry {
-class HealthSampler;
-class Watchdog;
-}  // namespace telemetry
 
 // How the compiled graph executes on the live dataplane: run-to-completion
 // is the only mode. The enum and LivePipelineOptions::exec_mode stay
@@ -80,11 +82,12 @@ struct LivePipelineOptions {
   // cost at 5%). A pipeline runs inside its caller's time and keeps no
   // cycle counters of its own.
   bool cycle_accounting = true;
-  // Latency-observatory sampling: stamp and stage-time 1 in N packets
-  // (0 = off, the default). feed() samples pid % N; feed_packet() takes the
-  // sharded director's own flow-hash decision + origin stamp off the packet.
-  // Unsampled packets pay one zero-check branch per hop; sampled ones two
-  // clock reads per NF hop (bench's lat32-acct/noacct pairs gate the cost).
+  // Latency-observatory sampling: 1 in N flows (0 = off, the default). The
+  // sharded director makes the flow-hash decision and stamps the origin;
+  // feed_packet() takes both off the packet, and plain feed() samples
+  // nothing. Unsampled packets pay one zero-check branch per hop; sampled
+  // ones two clock reads per NF hop (bench's lat32-acct/noacct pairs gate
+  // the cost).
   std::size_t latency_sample_every = 0;
   ExecMode exec_mode = ExecMode::kRtc;
 };
@@ -121,10 +124,10 @@ class LivePipeline {
   //   start()  arm the pipeline (once per pipeline — a second call errors,
   //            enforcing the run-once contract in code);
   //   feed()   copy one frame into a pool slot, stamp its arrival as
-  //            inject_time and run it through the graph before returning;
-  //            one feeding thread at a time; a frame longer than
-  //            Packet::kMaxDataLen is refused (false) as a counted
-  //            malformed drop;
+  //            inject_time and run it through the graph before returning
+  //            (not latency-sampled); one feeding thread at a time; a
+  //            frame longer than Packet::kMaxDataLen is refused (false) as
+  //            a counted malformed drop;
   //   drain()  hand back the accumulated result.
   // run() is a start + feed-loop + drain composition.
   Status start();
@@ -134,9 +137,8 @@ class LivePipeline {
   // Takes ownership of `pkt` in every case (false: not running). The
   // caller's stamps ride the packet: inject_time is its arrival time (the
   // sharded worker stamps it), lat().origin_ns != 0 marks it sampled with
-  // that ingest time (no pid fallback — plain feed() self-samples by
-  // pid % latency_sample_every), and a valid flow() is reused by drop
-  // exemplars instead of a reparse.
+  // that ingest time, and a valid flow() is reused by drop exemplars
+  // instead of a reparse.
   bool feed_packet(Packet* pkt);
   LiveResult drain();
 
@@ -146,13 +148,12 @@ class LivePipeline {
 
   // The pool this pipeline draws from (its own, or the caller's).
   std::size_t pool_in_use() const { return pool_.in_use(); }
-  std::size_t pool_capacity() const { return pool_.capacity(); }
-  // Progress counters; safe from a telemetry thread mid-run.
-  u64 dropped_so_far() const { return dropped_.read(); }
+  // Progress counters; safe from a telemetry thread mid-run. Every drop
+  // is counted under exactly one DropReason, and dropped_so_far() is the
+  // sum over reasons, so the flow observatory's taxonomy invariant
+  // (sum(drops_by_reason) == dropped) holds by construction.
+  u64 dropped_so_far() const;
   u64 delivered_so_far() const { return delivered_.read(); }
-  // Per-reason drop attribution: every path that counts a drop also tags
-  // exactly one DropReason, so the sum over reasons equals
-  // dropped_so_far() (the flow observatory's taxonomy invariant).
   u64 dropped_by(telemetry::DropReason reason) const;
   // Optional sink for sampled drop exemplars (5-tuple, stage, reason,
   // timestamp); the sharded dataplane points every pipeline of a shard at
@@ -160,7 +161,7 @@ class LivePipeline {
   void set_drop_exemplar_ring(telemetry::DropExemplarRing* ring);
   // Allocator-pressure counters: batch refills/flushes between the
   // magazine and the shared pool, and detected refcount underflows.
-  // Exported via register_health for `nfp_cli top`.
+  // ShardedDataplane::register_health exports them for `nfp_cli top`.
   u64 magazine_refills() const {
     return mag_refill_total_.load(std::memory_order_relaxed);
   }
@@ -169,21 +170,8 @@ class LivePipeline {
   }
   u64 refcnt_underflows() const { return pool_.refcnt_underflow_total(); }
   // Stage-latency histograms of the sampled packets; zero when
-  // latency_sample_every is 0. queue_depth stays 0: no rings. Safe from an
-  // observatory thread mid-run.
+  // latency_sample_every is 0. Safe from an observatory thread mid-run.
   telemetry::ShardLatencySnapshot latency_snapshot() const;
-  // Registers magazine and pool probes on `sampler` and pool / drop-spike
-  // rules on `watchdog` (null to skip). Call before run(). The feeding
-  // thread's own heartbeat covers the graph walk: the sharded dataplane
-  // registers one per shard worker.
-  // A non-empty `shard` tags every probe with a {"shard", ...} label and
-  // prefixes watchdog component names so S shards coexist in one registry.
-  // The pool's own probes (pool_in_use, pool_refcnt_underflow_total) and
-  // its pool rule are registered only for an owned pool; a shared pool's
-  // owner registers them once.
-  void register_health(telemetry::HealthSampler& sampler,
-                       telemetry::Watchdog* watchdog,
-                       const std::string& shard = {});
 
  private:
   struct Nf {
@@ -214,9 +202,9 @@ class LivePipeline {
   // it. No-ops for unsampled packets.
   static void open_service(Packet& pkt);
   static void close_service(Packet& pkt);
-  // Records the stage spans of a sampled packet at delivery, its last
-  // mark (egress = saturating remainder, so the stages telescope to total
-  // by construction). No-op when origin_ns == 0.
+  // Records the stage spans of a sampled packet at delivery: total is its
+  // last mark minus its origin, so the three stages sum to it by
+  // construction. No-op when origin_ns == 0.
   void finalize_latency(const Packet& pkt);
 
   ServiceGraph graph_;
@@ -251,7 +239,6 @@ class LivePipeline {
   std::unique_ptr<telemetry::StageLatencyBlock> lat_block_;
   // Feeder-written, scrape-read progress counters.
   telemetry::OwnedCounter delivered_;
-  telemetry::OwnedCounter dropped_;
   // Drop-reason taxonomy: one relaxed counter per reason plus the optional
   // shared exemplar ring.
   std::array<std::atomic<u64>, telemetry::kDropReasonCount> drop_reasons_{};

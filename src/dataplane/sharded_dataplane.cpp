@@ -70,7 +70,6 @@ ShardedDataplane::ShardedDataplane(std::vector<ServiceGraph> graphs,
         std::make_unique<MicroflowCache>(ct_, opts_.microflow_capacity);
     sh.received = std::make_unique<telemetry::OwnedCounter>();
     sh.heartbeat_ns = std::make_unique<std::atomic<u64>>(0);
-    sh.busy_ns = std::make_unique<telemetry::OwnedCounter>();
     sh.flows = std::make_unique<telemetry::ShardFlowAccountant>(
         kHeavyHitterCapacity, graphs_.size());
     if (opts_.pipeline.cycle_accounting) {
@@ -82,7 +81,6 @@ ShardedDataplane::ShardedDataplane(std::vector<ServiceGraph> graphs,
       sh.pipelines.push_back(std::make_unique<LivePipeline>(
           graphs_[g], factory, opts_.pipeline, sh.pool.get()));
       sh.pipelines.back()->set_drop_exemplar_ring(&sh.flows->exemplars());
-      sh.graph_counts.push_back(std::make_unique<telemetry::OwnedCounter>());
     }
   }
 }
@@ -298,7 +296,6 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
         mag.release(pkt);
         continue;
       }
-      sh.graph_counts[g]->increment();
       if (opts_.flow_accounting) {
         acc.add(flow, desc.len, static_cast<u32>(g), *sh.flows);
       }
@@ -317,10 +314,9 @@ void ShardedDataplane::worker_loop(std::size_t shard_idx) {
     if (acc.pending() >= telemetry::FlowAccumulator::kFlushPackets) {
       acc.flush(*sh.flows);
     }
+    // The useful lap spans the whole busy iteration, pop included: it is
+    // work. shard_busy_ns() reads it.
     beat = telemetry::mono_now_ns();
-    // busy_ns now spans the whole busy iteration (pop included — it is
-    // work); the same interval feeds the useful bucket.
-    sh.busy_ns->add(beat - iter_start);
     acct.lap(beat, telemetry::CycleBucket::kUseful);
   }
 }
@@ -411,12 +407,10 @@ u64 ShardedDataplane::shard_received(std::size_t s) const {
   return shards_.at(s).received->read();
 }
 
-u64 ShardedDataplane::shard_graph_count(std::size_t s, std::size_t g) const {
-  return shards_.at(s).graph_counts.at(g)->read();
-}
-
 u64 ShardedDataplane::shard_busy_ns(std::size_t s) const {
-  return shards_.at(s).busy_ns->read();
+  const Shard& sh = shards_.at(s);
+  return sh.cycles != nullptr ? sh.cycles->get(telemetry::CycleBucket::kUseful)
+                              : 0;
 }
 
 u64 ShardedDataplane::shard_delivered(std::size_t s) {
@@ -477,10 +471,8 @@ telemetry::ShardScalabilitySnapshot ShardedDataplane::scalability_snapshot(
   }
   // The pipelines run inside the worker's laps and keep no cycle counters;
   // they add their progress.
-  for (const auto& pipeline : sh.pipelines) {
-    snap.delivered += pipeline->delivered_so_far();
-    snap.dropped += pipeline->dropped_so_far();
-  }
+  snap.delivered = shard_delivered(s);
+  snap.dropped = shard_dropped(s);
   snap.pool_cas_retries += sh.pool->cas_retry_total();
   snap.ring_full_events += sh.ring->full_events();
   snap.classifier_hits = sh.cache->hits();
@@ -531,10 +523,29 @@ void ShardedDataplane::register_health(telemetry::HealthSampler& sampler,
   const bool multi_graph = graphs_.size() > 1;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::string shard_tag = std::to_string(s);
+    // Each pipeline's magazine traffic and drop count, tagged "<s>" or, with
+    // several graphs, "<s>.g<g>".
     for (std::size_t g = 0; g < shards_[s].pipelines.size(); ++g) {
       const std::string tag =
           multi_graph ? shard_tag + ".g" + std::to_string(g) : shard_tag;
-      shards_[s].pipelines[g]->register_health(sampler, watchdog, tag);
+      const LivePipeline* pipeline = shards_[s].pipelines[g].get();
+      const telemetry::Labels pipeline_labels{{"plane", "live"},
+                                              {"shard", tag}};
+      sampler.add_probe("pool_magazine_refill_total", pipeline_labels,
+                        [pipeline] {
+                          return static_cast<double>(
+                              pipeline->magazine_refills());
+                        });
+      sampler.add_probe("pool_magazine_flush_total", pipeline_labels,
+                        [pipeline] {
+                          return static_cast<double>(
+                              pipeline->magazine_flushes());
+                        });
+      if (watchdog != nullptr) {
+        watchdog->watch_drop_counter(
+            "shard" + tag + "/live-pipeline",
+            [pipeline] { return pipeline->dropped_so_far(); });
+      }
     }
     const telemetry::Labels labels{{"plane", "sharded"},
                                    {"shard", shard_tag}};

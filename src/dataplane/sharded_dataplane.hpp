@@ -171,12 +171,14 @@ class ShardedDataplane {
   u64 microflow_invalidations() const;
   u64 shard_hits(std::size_t s) const;
   u64 shard_misses(std::size_t s) const;
-  // Frames the director dispatched to shard s.
+  // Frames the director dispatched to shard s. (Frames per graph are the
+  // flow view's per-graph packet counts.)
   u64 shard_received(std::size_t s) const;
-  // Frames shard s classified into graph g.
-  u64 shard_graph_count(std::size_t s, std::size_t g) const;
-  // Cumulative wall-clock ns shard s's worker spent processing bursts
-  // (excludes idle polling) — the numerator of its core utilization.
+  // Cumulative wall-clock ns shard s's worker spent in busy iterations
+  // (pop, classify, graph walk, delivery; idle polling excluded), the
+  // numerator of its core utilization. It is the worker's useful bucket
+  // before the classifier-miss carve, so it reads 0 when
+  // pipeline.cycle_accounting is off.
   u64 shard_busy_ns(std::size_t s) const;
   // Live progress across a shard's pipelines (safe from a sampler thread).
   u64 shard_delivered(std::size_t s);
@@ -187,18 +189,19 @@ class ShardedDataplane {
     return *shards_.at(s).pool;
   }
 
-  // Registers every shard pipeline's probes (tagged {"shard", "<s>"} or
-  // "<s>.g<g>" with multiple graphs) plus shard-level rx/microflow/ring/
-  // pool probes, worker-stall and pool-exhaustion watchdog rules. Call
-  // before start().
+  // Registers every shard pipeline's magazine probes and drop-spike rule
+  // (tagged {"shard", "<s>"} or "<s>.g<g>" with multiple graphs) plus
+  // shard-level rx/microflow/ring/pool probes, worker-stall and
+  // pool-exhaustion watchdog rules. Call before start().
   void register_health(telemetry::HealthSampler& sampler,
                        telemetry::Watchdog* watchdog);
 
   // Shard-level cycle/contention fold (the scalability view): the
   // worker's buckets (classifier-miss time carved out of useful, which
-  // includes the graph walk), the director's waits on this shard, every
-  // pipeline's progress counters, and the pool/ring contention evidence.
-  // Scrape-time only.
+  // includes the graph walk), the director's waits on this shard, the
+  // shard's deliveries and drops (the director's drops included, as in
+  // shard_dropped()), and the pool/ring contention evidence. Scrape-time
+  // only.
   telemetry::ShardScalabilitySnapshot scalability_snapshot(std::size_t s);
 
   // Shard s's three views in one pass: the cycle fold above; each
@@ -258,16 +261,13 @@ class ShardedDataplane {
     // optional), sketch recording gated by opts_.flow_accounting.
     std::unique_ptr<telemetry::ShardFlowAccountant> flows;
     // Heap-allocated (Shard lives in a vector; atomics are immovable).
-    // The hot progress counters are single-writer — received by the
-    // director, busy_ns/graph_counts by the shard worker — so they are
-    // OwnedCounters: plain shadow bump + relaxed publish instead of a
-    // lock-prefixed RMW per packet, each on its own cacheline so a scrape
-    // never steals a line the writer is about to dirty. heartbeat_ns stays
-    // a bare atomic: it is already a plain store per iteration.
+    // `received` is single-writer (the director), so it is an
+    // OwnedCounter: plain shadow bump + relaxed publish instead of a
+    // lock-prefixed RMW per packet, on its own cacheline so a scrape never
+    // steals a line the writer is about to dirty. heartbeat_ns stays a
+    // bare atomic: it is already a plain store per iteration.
     std::unique_ptr<telemetry::OwnedCounter> received;
     std::unique_ptr<std::atomic<u64>> heartbeat_ns;
-    std::unique_ptr<telemetry::OwnedCounter> busy_ns;
-    std::vector<std::unique_ptr<telemetry::OwnedCounter>> graph_counts;
     // Cycle accounting (null when pipeline.cycle_accounting is off):
     // `cycles` is written by the shard worker, `director_cycles` by the
     // director when it waits on this shard's pool/ring — separate blocks,

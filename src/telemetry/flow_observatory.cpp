@@ -58,12 +58,6 @@ SpaceSaving::SpaceSaving(std::size_t capacity)
   shift_ = 32 - std::countr_zero(index_.size());
 }
 
-void SpaceSaving::replace_min_batch(std::span<const Candidate> misses) {
-  for (const Candidate& c : misses) {
-    if (!increment(c.hash, c.packets, c.bytes)) insert(c);
-  }
-}
-
 bool SpaceSaving::record(const FiveTuple& tuple, u64 hash, u64 packets,
                          u64 bytes) {
   if (packets == 0) return false;
@@ -246,6 +240,7 @@ ShardFlowAccountant::ShardFlowAccountant(std::size_t topk_capacity,
 void ShardFlowAccountant::record_burst(std::span<const FlowSample> samples) {
   if (samples.empty()) return;
   const std::scoped_lock lock(mu_);
+  folded_samples_ += samples.size();
   for (const FlowSample& s : samples) {
     if (s.packets == 0) continue;
     packets_ += s.packets;
@@ -257,6 +252,11 @@ void ShardFlowAccountant::record_burst(std::span<const FlowSample> samples) {
     hll_.add(s.hash);
     if (topk_.record(s.tuple, s.hash, s.packets, s.bytes)) ++new_flows_;
   }
+}
+
+u64 ShardFlowAccountant::folded_samples() const {
+  const std::scoped_lock lock(mu_);
+  return folded_samples_;
 }
 
 void ShardFlowAccountant::record_drop(DropReason reason, const char* stage,

@@ -44,7 +44,9 @@
 // cost at 5% on 427 flows, whose folds are a few hundred samples. The
 // cost at high cardinality is bench_micro_components' BM_FlowFold/zipf10k
 // (CI holds it to 6x BM_FlowFold/uniform341) and perfbench ct-churn's
-// telemetry.overhead_share.
+// telemetry.overhead_share; its count, the samples folded per packet
+// (ShardFlowAccountant::folded_samples()), is pinned by
+// FlowObservatoryTest.FoldedSamplesPerPacketStayBounded.
 //
 // Surfaces: /flows.json, flows_active / flow_new_rate / hh_top1_share /
 // drops_<reason>_total probes (republished as Prometheus gauges), the
@@ -120,34 +122,10 @@ class SpaceSaving {
 
   explicit SpaceSaving(std::size_t capacity);
 
-  // One flow's packets and bytes, for replace_min_batch().
-  struct Candidate {
-    FiveTuple tuple{};
-    u64 hash = 0;
-    u64 packets = 0;
-    u64 bytes = 0;
-  };
-
-  // Hit path: adds to an already-monitored flow. False when absent.
-  bool increment(u64 hash, u64 packets, u64 bytes) {
-    const u32 e = find(hash);
-    if (e == kNil) return false;
-    entries_[e].count.packets += packets;
-    entries_[e].count.bytes += bytes;
-    const u32 pos = pos_[e];
-    heap_[pos].packets += packets;
-    sift_down(pos);
-    return true;
-  }
-
-  // Folds candidates in order, each as record() would: a monitored flow
-  // (one a previous candidate brought in, say) adds to its entry; any
-  // other fills a free entry or displaces the then-current minimum,
-  // inheriting its count as `error`.
-  void replace_min_batch(std::span<const Candidate> misses);
-
-  // Returns true when the flow was not previously monitored. The
-  // single-sample form of increment + replace_min_batch.
+  // Counts `packets` of a flow: a monitored flow adds to its entry; any
+  // other fills a free entry or displaces the current minimum, inheriting
+  // its count as `error`. Returns true when the flow was not previously
+  // monitored.
   bool record(const FiveTuple& tuple, u64 hash, u64 packets, u64 bytes);
 
   std::size_t size() const noexcept { return entries_.size(); }
@@ -156,6 +134,14 @@ class SpaceSaving {
 
  private:
   static constexpr u32 kNil = ~u32{0};
+
+  // One flow's packets and bytes, for insert().
+  struct Candidate {
+    FiveTuple tuple{};
+    u64 hash = 0;
+    u64 packets = 0;
+    u64 bytes = 0;
+  };
 
   // Keyed by the 64-bit flow hash (a collision merges two flows into one
   // entry — acceptable for a sketch, vanishing at these table sizes). A
@@ -188,6 +174,18 @@ class SpaceSaving {
       if (s.entry == kNil) return kNil;
       if (s.tag == tag && entries_[s.entry].hash == hash) return s.entry;
     }
+  }
+
+  // Hit path: adds to an already-monitored flow. False when absent.
+  bool increment(u64 hash, u64 packets, u64 bytes) {
+    const u32 e = find(hash);
+    if (e == kNil) return false;
+    entries_[e].count.packets += packets;
+    entries_[e].count.bytes += bytes;
+    const u32 pos = pos_[e];
+    heap_[pos].packets += packets;
+    sift_down(pos);
+    return true;
   }
 
   void insert(const Candidate& c);  // a miss: fill or displace the minimum
@@ -335,6 +333,10 @@ class ShardFlowAccountant {
   // Folds one burst's deduped samples into the sketches. Worker thread.
   void record_burst(std::span<const FlowSample> samples);
 
+  // Samples record_burst has folded so far: over the packets counted, the
+  // Space-Saving steps the shard pays per packet.
+  u64 folded_samples() const;
+
   // Counts a drop and samples it into the exemplar ring. Any thread.
   void record_drop(DropReason reason, const char* stage, const FlowRef* flow,
                    u64 when_ns);
@@ -359,6 +361,7 @@ class ShardFlowAccountant {
   u64 packets_ = 0;
   u64 bytes_ = 0;
   u64 new_flows_ = 0;
+  u64 folded_samples_ = 0;
   std::vector<PacketByteCount> graphs_;
   std::array<std::atomic<u64>, kDropReasonCount> drops_{};
   DropExemplarRing exemplars_;

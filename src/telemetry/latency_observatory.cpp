@@ -12,7 +12,7 @@ namespace nfp::telemetry {
 namespace {
 
 constexpr std::array<const char*, kLatencyStageCount> kStageNames = {
-    "ingest", "queue", "service", "merge_wait", "egress", "total",
+    "ingest", "queue", "service", "total",
 };
 
 std::string fmt_double(double v) {
@@ -112,7 +112,6 @@ ShardLatencySnapshot& ShardLatencySnapshot::operator+=(
   for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
     stages[i] += other.stages[i];
   }
-  queue_depth += other.queue_depth;
   ingest_queue_depth += other.ingest_queue_depth;
   return *this;
 }
@@ -123,7 +122,6 @@ ShardLatencySnapshot latency_delta(const ShardLatencySnapshot& now,
   for (std::size_t i = 0; i < kLatencyStageCount; ++i) {
     d.stages[i] = hdr_delta(now.stages[i], then.stages[i]);
   }
-  d.queue_depth = now.queue_depth;
   d.ingest_queue_depth = now.ingest_queue_depth;
   return d;
 }
@@ -134,7 +132,6 @@ ShardLatencySnapshot latency_delta(const ShardLatencySnapshot& now,
 void LatencyReport::add_shard(std::string name, const ShardLatencySnapshot& d) {
   shards.push_back({std::move(name), d});
   for (std::size_t i = 0; i < kLatencyStageCount; ++i) total[i] += d.stages[i];
-  queue_depth += d.queue_depth;
   ingest_queue_depth += d.ingest_queue_depth;
 }
 
@@ -175,14 +172,13 @@ std::string LatencyReport::to_json() const {
     if (s > 0) out << ",";
     out << "{\"name\":\"" << json::escape(sh.name) << "\",\"sampled\":"
         << sh.d.stage(LatencyStage::kTotal).count()
-        << ",\"queue_depth\":" << fmt_double(sh.d.queue_depth)
         << ",\"ingest_queue_depth\":" << fmt_double(sh.d.ingest_queue_depth)
         << ",\"stages\":";
     stages_json(out, sh.d.stages);
     out << "}";
   }
-  out << "],\"total\":{\"queue_depth\":" << fmt_double(queue_depth)
-      << ",\"ingest_queue_depth\":" << fmt_double(ingest_queue_depth)
+  out << "],\"total\":{\"ingest_queue_depth\":"
+      << fmt_double(ingest_queue_depth)
       << ",\"stages\":";
   stages_json(out, total);
   out << "}}";
@@ -211,11 +207,11 @@ std::string LatencyReport::to_text() const {
       const HdrSnapshot& t = sh.d.stage(LatencyStage::kTotal);
       std::snprintf(line, sizeof(line),
                     "%-10s total p50=%.1fus p99=%.1fus p99.9=%.1fus "
-                    "samples=%llu queue_depth=%.0f\n",
+                    "samples=%llu ingest_queue_depth=%.0f\n",
                     sh.name.c_str(), to_us(t.quantile(0.50)),
                     to_us(t.quantile(0.99)), to_us(t.quantile(0.999)),
                     static_cast<unsigned long long>(t.count()),
-                    sh.d.queue_depth);
+                    sh.d.ingest_queue_depth);
       out << line;
     }
   }

@@ -5,9 +5,9 @@
 // NFP's headline result is latency — parallel NF graphs cut packet latency
 // vs. the sequential chain (§6) — and the scalability view only
 // attributes lost *throughput*. This view attributes every lost
-// microsecond: deterministic 1-in-N sampling stamps selected packets at
-// each hop and delivery decomposes the end-to-end time into an exact
-// stage partition,
+// microsecond: deterministic 1-in-N flow-hash sampling at the director
+// stamps selected packets at each hop, and delivery decomposes the
+// end-to-end time into an exact stage partition,
 //
 //   ingest      director feed() -> pipeline entry on the shard worker
 //               (director pool/ring, shard-worker classify)
@@ -15,15 +15,14 @@
 //               from one hop to the next
 //   service     inside NetworkFunction::process() calls; a parallel
 //               segment's branches, run one after another, are one span
-//   merge_wait  a wait for a merge's last arrival. The live plane records
-//               none: its merge is fused, with every arrival in hand
-//   egress      the saturating remainder to end-to-end (result commit,
-//               clock quantization) — ~0 by construction
 //   total       origin stamp -> delivery
 //
 // Stage spans telescope hop by hop (each hop contributes exactly
-// next_mark - prev_mark), so ingest+queue+service+merge_wait+egress ==
-// total per packet, which is the invariant the live 2-shard test asserts.
+// next_mark - prev_mark) and delivery reads no clock after the last
+// mark, so ingest+queue+service == total per packet, which is the
+// invariant the live 2-shard tests assert. Every graph runs to
+// completion on the shard worker, so no packet waits at a merge; the
+// simulated plane's merge wait lives in critical_path.hpp.
 //
 // The recording contract mirrors the scalability view: samples land in
 // per-thread, cacheline-aligned StageLatencyBlocks written by exactly one
@@ -35,7 +34,7 @@
 // value v it holds) and snapshots merge associatively across shards.
 //
 // Surfaces: /latency.json, latency_<stage>_p99{shard=N} timeseries probes,
-// per-shard queue-depth probes (SpscRing::size() sampled at scrape), the
+// the per-shard RX ring depth (SpscRing::size() sampled at scrape), the
 // `nfp_cli top` latency panel and the `nfp_cli latency` seq-vs-parallel
 // comparison. Overhead when off: one branch per packet per hop (the
 // origin-stamp zero check); bench_shard_scaling's lat32-acct /
@@ -57,8 +56,6 @@ enum class LatencyStage : unsigned {
   kIngest = 0,
   kQueue,
   kService,
-  kMergeWait,
-  kEgress,
   kTotal,
   kCount,
 };
@@ -135,11 +132,10 @@ struct alignas(kCacheLineSize) StageLatencyBlock {
 };
 
 // Scrape-time aggregate for one shard: the stage histograms folded across
-// the shard's threads, plus point-in-time queue occupancy (sampled
-// SpscRing::size() sums) as the correlating queue-depth signal.
+// the shard's pipelines, plus the point-in-time occupancy of its RX ring
+// (SpscRing::size()) as the correlating queue-depth signal.
 struct ShardLatencySnapshot {
   std::array<HdrSnapshot, kLatencyStageCount> stages{};
-  double queue_depth = 0;        // packets resident in this shard's rings
   double ingest_queue_depth = 0; // director -> shard RX ring occupancy
 
   const HdrSnapshot& stage(LatencyStage s) const noexcept {
@@ -148,8 +144,8 @@ struct ShardLatencySnapshot {
   ShardLatencySnapshot& operator+=(const ShardLatencySnapshot& other) noexcept;
 };
 
-// Stage histograms as now - then; queue depths are point-in-time gauges
-// and come from `now` unchanged.
+// Stage histograms as now - then; the queue depth is a point-in-time gauge
+// and comes from `now` unchanged.
 ShardLatencySnapshot latency_delta(const ShardLatencySnapshot& now,
                                    const ShardLatencySnapshot& then) noexcept;
 
@@ -162,7 +158,6 @@ struct LatencyReport {
 
   std::vector<Shard> shards;
   std::array<HdrSnapshot, kLatencyStageCount> total{};
-  double queue_depth = 0;
   double ingest_queue_depth = 0;
   std::size_t sample_every = 0;
   double wall_seconds = 0;

@@ -151,10 +151,6 @@ void Observatory::register_probes(TimeseriesCollector& collector) {
   }
   per_shard("latency_total_p50", stage_us(LatencyStage::kTotal, 0.50));
   per_shard("latency_total_p999", stage_us(LatencyStage::kTotal, 0.999));
-  per_shard("latency_queue_depth",
-            [](const ObservatoryReport& rep, std::size_t s) {
-              return rep.latency.shards[s].d.queue_depth;
-            });
   per_shard("latency_ingest_queue_depth",
             [](const ObservatoryReport& rep, std::size_t s) {
               return rep.latency.shards[s].d.ingest_queue_depth;

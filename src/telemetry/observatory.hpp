@@ -75,7 +75,7 @@ class Observatory {
 
   // Publishes, per shard {shard=...}: scalability_<bucket>_share,
   // scalability_projected_pps, latency_<stage>_p99, latency_total_p50,
-  // latency_total_p999, latency_queue_depth, latency_ingest_queue_depth;
+  // latency_total_p999, latency_ingest_queue_depth;
   // and plane-wide: flows_active, flow_new_rate (between refreshes),
   // hh_top1_share, drops_<reason>_total. The first probe sampled in a
   // 200 ms window refreshes one cached report; the rest read it.

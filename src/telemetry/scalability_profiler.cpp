@@ -22,8 +22,7 @@ namespace nfp::telemetry {
 namespace {
 
 constexpr std::array<const char*, kCycleBucketCount> kBucketNames = {
-    "useful",     "starved",    "ring_wait",
-    "pool_wait",  "merge_wait", "classifier_miss",
+    "useful", "starved", "ring_wait", "pool_wait", "classifier_miss",
 };
 
 std::string fmt_double(double v) {
@@ -173,8 +172,7 @@ HwSample HwCounterGroup::read() const {
 std::string ScalabilityReport::top_contention_source() const {
   // Useful is the goal and starved is the absence of demand — neither is
   // contention. The answer is the largest genuine wait bucket: ring
-  // backpressure, pool exhaustion, merge-order waits, or classifier
-  // misses.
+  // backpressure, pool exhaustion or classifier misses.
   double best = 0;
   std::size_t best_i = kCycleBucketCount;
   for (std::size_t i = 0; i < kCycleBucketCount; ++i) {
@@ -251,21 +249,19 @@ std::string ScalabilityReport::to_text() const {
   std::ostringstream out;
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%-10s %8s %11s  %7s %7s %7s %7s %7s %7s\n", "shard",
-                "acct_s", "pps", "useful", "starve", "ring", "pool", "merge",
-                "miss");
+                "%-10s %8s %11s  %7s %7s %7s %7s %7s\n", "shard", "acct_s",
+                "pps", "useful", "starve", "ring", "pool", "miss");
   out << line;
   auto row = [&](const std::string& name, double acct_s, double pps,
                  const std::array<double, kCycleBucketCount>& share) {
     std::snprintf(
         line, sizeof(line),
-        "%-10s %8.3f %11.0f  %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%%\n",
+        "%-10s %8.3f %11.0f  %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%%\n",
         name.c_str(), acct_s, pps,
         100 * share[static_cast<std::size_t>(CycleBucket::kUseful)],
         100 * share[static_cast<std::size_t>(CycleBucket::kStarved)],
         100 * share[static_cast<std::size_t>(CycleBucket::kRingWait)],
         100 * share[static_cast<std::size_t>(CycleBucket::kPoolWait)],
-        100 * share[static_cast<std::size_t>(CycleBucket::kMergeWait)],
         100 * share[static_cast<std::size_t>(CycleBucket::kClassifierMiss)]);
     out << line;
   };

@@ -10,20 +10,23 @@
 // relaxed fetch_add to a thread-private cacheline — into exactly one
 // bucket, and the director books its waits to the shard that stalled it:
 //
-//   useful        packets were processed (burst pop + NF work + delivery)
+//   useful        packets were processed (burst pop + graph walk + delivery)
 //   starved       idle with nothing upstream (ingest-starved polling)
-//   ring_wait     spinning on a full ring (backpressure from downstream)
-//   pool_wait     spinning on an exhausted packet pool / CAS contention
-//   merge_wait    waiting for a merge's last arrival; no live thread books
-//                 it, because the live merge is fused
-//   classifier_miss  microflow-cache miss resolving through the shared CT
+//   ring_wait     the director spinning on the shard's full RX ring
+//   pool_wait     the director spinning on the shard's exhausted pool
+//   classifier_miss  microflow-cache miss resolving through the shared CT,
+//                 moved out of useful at scrape time
+//
+// Every graph runs to completion on the shard worker, so no live thread
+// waits at a merge: the simulated plane's merge wait (critical_path.hpp)
+// has no bucket here.
 //
 // Because the buckets partition each thread's loop wall-time, per-shard
 // category shares sum to 100% of accounted shard-seconds by construction
-// (the acceptance invariant; saturating arithmetic on the carve-outs is
-// the only source of the ±2% tolerance). Event counters ride along as
-// contention evidence: PacketPool CAS retries, SpscRing full events,
-// Backoff spins, microflow misses.
+// (the acceptance invariant; the saturating classifier-miss carve at
+// scrape time is the only source of the ±2% tolerance). Event counters
+// ride along as contention evidence: PacketPool CAS retries, SpscRing
+// full events, Backoff spins, microflow misses.
 //
 // Aggregation is scrape-time only: threads write their own
 // cacheline-aligned CycleCounters blocks; the dataplane folds them into a
@@ -54,7 +57,6 @@ enum class CycleBucket : unsigned {
   kStarved,
   kRingWait,
   kPoolWait,
-  kMergeWait,
   kClassifierMiss,
   kCount,
 };
@@ -80,11 +82,8 @@ struct alignas(kCacheLineSize) CycleCounters {
 };
 
 // Loop-side helper: classifies the interval since the previous lap into
-// one bucket. Wait loops measured inline (with their own timestamps) call
-// carve() so the span is both credited to its bucket and subtracted from
-// the enclosing lap — the partition stays exact. All methods are no-ops
-// (beyond the clock read lap() must return anyway) when sink is null, so
-// `cycle_accounting = false` costs only a branch.
+// one bucket. A no-op (beyond the clock read lap() must return anyway)
+// when sink is null, so `cycle_accounting = false` costs only a branch.
 class CycleAccountant {
  public:
   explicit CycleAccountant(CycleCounters* sink, u64 now) noexcept
@@ -92,28 +91,13 @@ class CycleAccountant {
 
   // Ends the current interval at `now`, attributing it to `kind`.
   void lap(u64 now, CycleBucket kind) noexcept {
-    if (sink_ != nullptr) {
-      const u64 span = now - mark_;
-      sink_->add(kind, span >= carve_ ? span - carve_ : 0);
-    }
-    carve_ = 0;
+    if (sink_ != nullptr) sink_->add(kind, now - mark_);
     mark_ = now;
   }
-
-  // Credits an inline-measured wait to its own bucket and excludes it from
-  // the enclosing lap.
-  void carve(CycleBucket kind, u64 span) noexcept {
-    if (sink_ == nullptr) return;
-    sink_->add(kind, span);
-    carve_ += span;
-  }
-
-  bool enabled() const noexcept { return sink_ != nullptr; }
 
  private:
   CycleCounters* sink_;
   u64 mark_;
-  u64 carve_ = 0;
 };
 
 // Scrape-time aggregate for one shard: bucket nanoseconds plus the
@@ -127,7 +111,7 @@ struct ShardScalabilitySnapshot {
   u64 classifier_hits = 0;
   u64 classifier_misses = 0;
   u64 delivered = 0;
-  u64 dropped = 0;
+  u64 dropped = 0;             // every drop: the director's and the graphs'
   u64 threads = 0;             // accounting threads contributing
 
   u64 bucket(CycleBucket b) const noexcept {

@@ -162,11 +162,13 @@ TEST(ShardedDataplane, MultiGraphClassificationSteersFlows) {
     ASSERT_TRUE(tuple.has_value());
     EXPECT_EQ(tuple->src_port % 2, 1u) << "even flow escaped graph 1";
   }
-  // Per-shard graph counters must account for every frame.
+  // The flow view's per-graph packet counts must account for every frame.
   u64 g0 = 0, g1 = 0;
   for (std::size_t s = 0; s < dp.shard_count(); ++s) {
-    g0 += dp.shard_graph_count(s, 0);
-    g1 += dp.shard_graph_count(s, 1);
+    const telemetry::ShardFlowSnapshot flows = dp.flow_snapshot(s);
+    ASSERT_EQ(flows.graphs.size(), 2u);
+    g0 += flows.graphs[0].traffic.packets;
+    g1 += flows.graphs[1].traffic.packets;
   }
   EXPECT_EQ(g0, 120u);
   EXPECT_EQ(g1, 120u);
@@ -397,6 +399,17 @@ TEST(ShardedDataplane, ShardPoolTelemetryCountsOnce) {
   }
   EXPECT_EQ(series, 1u);
   EXPECT_GT(pool.in_use(), 0u);
+  // Each graph's pipeline keeps its own magazine series, tagged
+  // "<shard>.g<graph>" on the live plane.
+  std::set<std::string> magazines;
+  for (const auto& [key, gauge] : registry.gauges()) {
+    if (key.name != "pool_magazine_refill_total") continue;
+    std::map<std::string, std::string> labels(key.labels.begin(),
+                                              key.labels.end());
+    EXPECT_EQ(labels["plane"], "live");
+    magazines.insert(labels["shard"]);
+  }
+  EXPECT_EQ(magazines, (std::set<std::string>{"0.g0", "0.g1", "0.g2"}));
   EXPECT_EQ(dp.scalability_snapshot(0).pool_cas_retries,
             pool.cas_retry_total());
 

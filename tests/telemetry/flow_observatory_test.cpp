@@ -247,9 +247,9 @@ std::vector<SketchStream> sketch_streams() {
 // N; every entry over-counts by at most its error, and its error by at
 // most N/K; every flow with more than N/K packets holds an entry; and
 // when every flow fits, the counts are exact.
-void check_space_saving(const SpaceSaving& table, const SketchStream& st) {
+void check_space_saving(const std::vector<SpaceSaving::Entry>& entries,
+                        const SketchStream& st) {
   const std::size_t k = st.capacity;
-  const auto entries = table.entries();
   EXPECT_LE(entries.size(), k);
   u64 sum = 0;
   std::set<u64> present;
@@ -283,9 +283,15 @@ void check_space_saving(const SpaceSaving& table, const SketchStream& st) {
   }
 }
 
-SpaceSaving::Candidate candidate(const StreamSample& s) {
-  const FiveTuple t = test_tuple(s.flow);
-  return {t, hash_five_tuple(t), s.packets, s.packets * 64};
+FlowSample flow_sample(const StreamSample& s) {
+  FlowSample out;
+  out.tuple = test_tuple(s.flow);
+  out.hash = hash_five_tuple(out.tuple);
+  out.graph = 0;
+  out.packets = static_cast<u32>(s.packets);
+  out.bytes = s.packets * 64;
+  out.tuple_valid = true;
+  return out;
 }
 
 TEST(FlowObservatoryTest, SpaceSavingErrorAndPresenceBounds) {
@@ -297,7 +303,7 @@ TEST(FlowObservatoryTest, SpaceSavingErrorAndPresenceBounds) {
       SCOPED_TRACE("record");
       SpaceSaving table(st.capacity);
       for (const StreamSample& s : st.samples) {
-        const SpaceSaving::Candidate c = candidate(s);
+        const FlowSample c = flow_sample(s);
         const auto before = table.entries();
         u64 least = 0;
         if (before.size() == st.capacity) {
@@ -314,29 +320,31 @@ TEST(FlowObservatoryTest, SpaceSavingErrorAndPresenceBounds) {
           ASSERT_EQ(e.count.packets, least + c.packets) << "flow " << s.flow;
         }
       }
-      check_space_saving(table, st);
+      check_space_saving(table.entries(), st);
     }
-    // In batches: one candidate at a time into a full table, a whole
-    // 4,096-sample epoch at once, and sizes drawn from 1..4,096.
+    // In folds, through the shard accountant: one sample at a time into a
+    // full table, a whole 4,096-sample epoch at once, and sizes drawn
+    // from 1..4,096.
     for (const std::size_t batch : {std::size_t{1}, std::size_t{4'096},
                                      std::size_t{0}}) {
       SCOPED_TRACE(batch == 0 ? std::string("batch random")
                               : "batch " + std::to_string(batch));
-      SpaceSaving table(st.capacity);
+      ShardFlowAccountant acct(st.capacity, 1);
       Rng rng(batch);
-      std::vector<SpaceSaving::Candidate> cands;
+      std::vector<FlowSample> fold;
       for (std::size_t i = 0; i < st.samples.size();) {
         const std::size_t len = std::min<std::size_t>(
             batch != 0 ? batch : 1 + rng.bounded(4'096),
             st.samples.size() - i);
-        cands.clear();
+        fold.clear();
         for (std::size_t j = i; j < i + len; ++j) {
-          cands.push_back(candidate(st.samples[j]));
+          fold.push_back(flow_sample(st.samples[j]));
         }
-        table.replace_min_batch(cands);
+        acct.record_burst(fold);
         i += len;
       }
-      check_space_saving(table, st);
+      EXPECT_EQ(acct.folded_samples(), st.samples.size());
+      check_space_saving(acct.snapshot().topk, st);
     }
   }
 }
@@ -545,6 +553,48 @@ TEST(FlowObservatoryTest, AccumulatorFoldsOnProbeOverflow) {
   EXPECT_EQ(snap.bytes, kFlows * 64);
   EXPECT_EQ(snap.new_flows, kFlows);
   EXPECT_EQ(snap.topk.size(), 128u);
+}
+
+TEST(FlowObservatoryTest, FoldedSamplesPerPacketStayBounded) {
+  // A ct-churn shard's traffic: zipf-0.8 draws over 10k flows, folded the
+  // way the shard worker folds (a full probe run inside add(), the
+  // kFlushPackets backstop, a last flush at stop). Each folded sample is
+  // one Space-Saving step under the accountant's lock, so samples per
+  // packet is the fold's cost in a unit no host moves. The 16,384-slot
+  // index folds 0.247 per packet here (0.24 on perfbench ct-churn
+  // shards); an index of 4,096 slots folds 0.554.
+  constexpr std::size_t kFlows = 10'000;
+  constexpr std::size_t kPackets = 400'000;
+  std::vector<double> cdf(kFlows);
+  double total = 0;
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    total += std::pow(static_cast<double>(f + 1), -0.8);
+    cdf[f] = total;
+  }
+  std::vector<FlowRef> flows(kFlows);
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    flows[f].tuple = test_tuple(f);
+    flows[f].hash = hash_five_tuple(flows[f].tuple);
+    flows[f].valid = true;
+  }
+  ShardFlowAccountant acct(128, 1);
+  telemetry::FlowAccumulator acc;
+  Rng rng(2024);
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    const auto it =
+        std::lower_bound(cdf.begin(), cdf.end(), rng.uniform() * total);
+    const std::size_t f = std::min<std::size_t>(
+        static_cast<std::size_t>(it - cdf.begin()), kFlows - 1);
+    acc.add(flows[f], 64, 0, acct);
+    if (acc.pending() >= telemetry::FlowAccumulator::kFlushPackets) {
+      acc.flush(acct);
+    }
+  }
+  acc.flush(acct);
+  ASSERT_EQ(acct.snapshot().packets, kPackets);
+  const double per_packet = static_cast<double>(acct.folded_samples()) /
+                            static_cast<double>(kPackets);
+  EXPECT_LE(per_packet, 0.30);
 }
 
 TEST(FlowObservatoryTest, LiveHighCardinalityHeavyHitterBounds) {

@@ -217,7 +217,6 @@ TEST(ObservatoryTest, ProbesKeepTheirNamesAndLabels) {
   std::vector<std::string> per_shard = {"scalability_projected_pps",
                                         "latency_total_p50",
                                         "latency_total_p999",
-                                        "latency_queue_depth",
                                         "latency_ingest_queue_depth"};
   for (std::size_t b = 0; b < telemetry::kCycleBucketCount; ++b) {
     per_shard.push_back(std::string("scalability_") +
@@ -260,7 +259,7 @@ TEST(ObservatoryTest, PerfbenchAdapterReportsTheScalabilityView) {
       false, [&clock] { return clock; }});
   telemetry::ShardSnapshot snap;
   prof.add_shard("s0", [&snap] { return snap; });
-  snap.cycles.ns = {600, 200, 100, 50, 25, 25};
+  snap.cycles.ns = {600, 200, 100, 50, 50};
   snap.cycles.delivered = 1'000;
   snap.cycles.ring_full_events = 9;
   clock = 2'000'000'000;
